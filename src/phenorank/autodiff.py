@@ -3,9 +3,13 @@
 Tensors wrap float64 numpy arrays. Operations executed while a Tape is
 active append a record (output, parents, vjp); Tape.backward replays the
 records in reverse, which is a valid topological order because records are
-appended at creation time. Reductions delegate to numpy's sequential
-kernels, so forward evaluation is bit-deterministic for a fixed operand
-order.
+appended at creation time. Gradients live only inside one backward call,
+in a dict keyed by `id(tensor)` (unique while the records hold every tensor
+they name); tensors carry no gradient, so a backward pass never writes to
+shared parameters.
+Reductions delegate to numpy's sequential kernels, and every scatter-add
+goes through `_scatter_add`, so forward evaluation is bit-deterministic for
+a fixed operand order.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ __all__ = [
     "add", "sub", "neg", "mul", "div", "matmul", "scale", "shift",
     "concat", "split", "reshape", "tile_rows", "gather_rows",
     "abs_", "abs_diff", "relu", "leaky_relu", "elu", "sigmoid", "clamp",
-    "segment_softmax", "segment_sum", "segment_mean", "segment_max",
-    "softmax", "l2_norm", "row_l2_norm", "dot", "sum_", "mean_", "log1p_sum_exp",
+    "segment_softmax", "segment_sum", "segment_mean",
+    "softmax", "l2_norm", "row_l2_norm", "sum_", "mean_", "log1p_sum_exp",
     "grad_check",
 ]
 
@@ -28,13 +32,12 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "trainable", "name", "grad")
+    __slots__ = ("data", "trainable", "name")
 
     def __init__(self, data, trainable: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.trainable = trainable
         self.name = name
-        self.grad = None
 
     @property
     def shape(self):
@@ -76,29 +79,21 @@ class Tape:
         """Gradients of scalar `root` w.r.t. every trainable leaf, by name."""
         if root.data.ndim != 0 and root.data.size != 1:
             raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
-        seen = set()
-        for out, parents, _ in self.records:
-            out.grad = None
-            seen.add(id(out))
-            for p in parents:
-                if id(p) not in seen:
-                    p.grad = None
-                    seen.add(id(p))
-        root.grad = np.ones_like(root.data)
+        grad_of = {id(root): np.ones_like(root.data)}
         for out, parents, vjp in reversed(self.records):
-            if out.grad is None:
+            g_out = grad_of.pop(id(out), None)
+            if g_out is None:
                 continue
-            for p, g in zip(parents, vjp(out.grad)):
+            for p, g in zip(parents, vjp(g_out)):
                 if g is None:
                     continue
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
-                p.grad = p.grad + g
+                prev = grad_of.get(id(p))
+                grad_of[id(p)] = g if prev is None else prev + g
         grads = {}
         for out, parents, _ in self.records:
             for p in parents:
-                if p.trainable and p.grad is not None:
-                    grads[p.name] = p.grad
+                if p.trainable and id(p) in grad_of:
+                    grads[p.name] = grad_of[id(p)]
         return grads
 
 
@@ -116,6 +111,13 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
     return g.reshape(shape)
+
+
+def _scatter_add(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """Rows of `values` summed into `n` output rows by `index`, in row order."""
+    out = np.zeros((n,) + values.shape[1:])
+    np.add.at(out, index, values)
+    return out
 
 
 def _check_finite(arr: np.ndarray, op: str):
@@ -241,12 +243,7 @@ def gather_rows(a, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(a.data[idx])
 
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return _record(out, (a,), vjp)
+    return _record(out, (a,), lambda g: (_scatter_add(g, idx, a.data.shape[0]),))
 
 
 # ------------------------------------------------------------- nonlinearities
@@ -322,17 +319,10 @@ def segment_softmax(a, segments, n_segments: int) -> Tensor:
     seg_max = np.full(group_shape, -np.inf)
     np.maximum.at(seg_max, seg, a.data)
     ex = np.exp(a.data - seg_max[seg])
-    denom = np.zeros(group_shape)
-    np.add.at(denom, seg, ex)
-    s = ex / denom[seg]
+    s = ex / _scatter_add(ex, seg, n_segments)[seg]
     out = Tensor(s)
-
-    def vjp(g):
-        weighted = np.zeros(group_shape)
-        np.add.at(weighted, seg, g * s)
-        return (s * (g - weighted[seg]),)
-
-    return _record(out, (a,), vjp)
+    return _record(out, (a,),
+                   lambda g: (s * (g - _scatter_add(g * s, seg, n_segments)[seg]),))
 
 
 def softmax(a) -> Tensor:
@@ -350,10 +340,7 @@ def segment_sum(a, segments, n_segments: int) -> Tensor:
     a = tensor(a)
     seg = np.asarray(segments, dtype=np.int64)
     _segment_matrix_check(a, seg)
-    shape = (n_segments,) + a.data.shape[1:]
-    out_data = np.zeros(shape)
-    np.add.at(out_data, seg, a.data)
-    out = Tensor(out_data)
+    out = Tensor(_scatter_add(a.data, seg, n_segments))
     return _record(out, (a,), lambda g: (g[seg],))
 
 
@@ -364,11 +351,8 @@ def segment_mean(a, segments, n_segments: int) -> Tensor:
     _segment_matrix_check(a, seg)
     counts = np.bincount(seg, minlength=n_segments).astype(np.float64)
     safe = np.maximum(counts, 1.0)
-    shape = (n_segments,) + a.data.shape[1:]
-    total = np.zeros(shape)
-    np.add.at(total, seg, a.data)
     denom = safe if a.data.ndim == 1 else safe[:, None]
-    out = Tensor(total / denom)
+    out = Tensor(_scatter_add(a.data, seg, n_segments) / denom)
 
     def vjp(g):
         w = g / denom
@@ -377,37 +361,16 @@ def segment_mean(a, segments, n_segments: int) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def segment_max(a, segments, n_segments: int) -> Tensor:
-    """Per-segment max of a 1-D vector; gradient flows to the first argmax."""
+def sum_(a, axis: int | None = None) -> Tensor:
+    """Sum of all entries, or along one `axis` (which is dropped)."""
     a = tensor(a)
-    seg = np.asarray(segments, dtype=np.int64)
-    if a.data.ndim != 1:
-        raise ShapeError("segment_max expects 1-D input")
-    counts = np.bincount(seg, minlength=n_segments)
-    if np.any(counts == 0):
-        raise ValueError("segment_max: empty segment")
-    out_data = np.full(n_segments, -np.inf)
-    np.maximum.at(out_data, seg, a.data)
-    # first row achieving the max in each segment, scanning in index order
-    winner = np.full(n_segments, -1, dtype=np.int64)
-    for i in range(a.data.shape[0]):
-        s = seg[i]
-        if winner[s] < 0 and a.data[i] == out_data[s]:
-            winner[s] = i
-    out = Tensor(out_data)
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        full[winner] += g
-        return (full,)
-
-    return _record(out, (a,), vjp)
-
-
-def sum_(a) -> Tensor:
-    a = tensor(a)
-    out = Tensor(a.data.sum())
-    return _record(out, (a,), lambda g: (np.full_like(a.data, float(g)),))
+    if axis is None:
+        out = Tensor(a.data.sum())
+        return _record(out, (a,), lambda g: (np.full_like(a.data, float(g)),))
+    out = Tensor(a.data.sum(axis=axis))
+    n = a.data.shape[axis]
+    return _record(out, (a,),
+                   lambda g: (np.repeat(np.expand_dims(g, axis), n, axis=axis),))
 
 
 def mean_(a) -> Tensor:
@@ -443,14 +406,6 @@ def row_l2_norm(a) -> Tensor:
         return (g[:, None] * a.data / safe[:, None],)
 
     return _record(out, (a,), vjp)
-
-
-def dot(a, b) -> Tensor:
-    a, b = tensor(a), tensor(b)
-    if a.data.shape != b.data.shape or a.data.ndim != 1:
-        raise ShapeError(f"dot: incompatible shapes {a.shape} vs {b.shape}")
-    out = Tensor(np.dot(a.data, b.data))
-    return _record(out, (a, b), lambda g: (float(g) * b.data, float(g) * a.data))
 
 
 def log1p_sum_exp(a) -> Tensor:

@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -169,32 +168,38 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _per_patient_scores(g, ckpt, cohort, hops: int, jobs: int):
-    """Forward passes; yields (record, subgraph, bundle) in cohort order."""
+def _serving_hops(ckpt, hops, path) -> int:
+    """The checkpoint's training hop count; an explicit different one is an error."""
+    if hops is not None and hops != ckpt.sample_hops:
+        raise ConfigError(f"hops {hops} differs from sample_hops {ckpt.sample_hops} "
+                          f"that {path} was trained with")
+    return ckpt.sample_hops
+
+
+def _per_patient_scores(g, ckpt, cohort, hops: int):
+    """Forward passes: (record, subgraph, bundle) in cohort order.
+
+    A list, not a generator: a failing patient stops the command before
+    any output line is written.
+    """
     params = ckpt.ranking_params()
-    mcfg = ckpt.model_config
-
-    def one(rec):
+    out = []
+    for rec in cohort:
         sg = sample_phenotype_subgraph(g, rec.phenotypes, hops)
-        bundle = forward(params, mcfg, sg)
-        return rec, sg, bundle
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, cohort))
-    return [one(rec) for rec in cohort]
+        out.append((rec, sg, forward(params, ckpt.model_config, sg)))
+    return out
 
 
 def cmd_predict(args) -> int:
     t0 = time.monotonic()
-    g = load_graph(args.nodes, args.edges)
     ckpt = load_checkpoint(args.checkpoint)
+    hops = _serving_hops(ckpt, args.hops, args.checkpoint)
+    g = load_graph(args.nodes, args.edges)
     cohort = load_cohort(args.patients, g.key_to_id)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as fh:
-        for rec, sg, bundle in _per_patient_scores(g, ckpt, cohort, args.hops,
-                                                   args.jobs):
+        for rec, sg, bundle in _per_patient_scores(g, ckpt, cohort, hops):
             if sg.gene_locals.size == 0:
                 print(f"warning: patient {rec.patient_id} has no candidate genes",
                       file=sys.stderr)
@@ -208,7 +213,7 @@ def cmd_predict(args) -> int:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
     inputs = {"nodes": args.nodes, "edges": args.edges,
               "patients": args.patients, "checkpoint": args.checkpoint}
-    write_manifest(out_path.parent, "predict", {"hops": args.hops}, inputs,
+    write_manifest(out_path.parent, "predict", {"hops": hops}, inputs,
                    {out_path.name: out_path}, ckpt.seed, time.monotonic() - t0)
     return 0
 
@@ -222,19 +227,19 @@ def cmd_extract(args) -> int:
                      ("gene_threshold", args.gene_threshold)):
         if val is not None:
             flat[key] = val
+    ckpt = load_checkpoint(args.checkpoint)
+    flat["hops"] = _serving_hops(ckpt, flat.get("hops"), args.checkpoint)
     try:
         ecfg = ExtractionConfig(**flat)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     g = load_graph(args.nodes, args.edges)
-    ckpt = load_checkpoint(args.checkpoint)
     cohort = load_cohort(args.patients, g.key_to_id)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pg_path = out_dir / "patient_graphs.jsonl"
     with open(pg_path, "w", encoding="utf-8") as fh:
-        for rec, sg, bundle in _per_patient_scores(g, ckpt, cohort, ecfg.hops,
-                                                   args.jobs):
+        for rec, sg, bundle in _per_patient_scores(g, ckpt, cohort, ecfg.hops):
             pg = extract_patient_graph(sg, bundle, ecfg)
             fh.write(json.dumps(pg.to_json_obj(rec.patient_id, g.node_keys),
                                 sort_keys=True) + "\n")
@@ -400,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True)
     p.add_argument("--patients", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--hops", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--hops", type=int,
+                   help="sampling hop count (default: the checkpoint's)")
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("extract", help="extract compact patient graphs")
@@ -411,13 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patients", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="JSON extraction settings")
-    p.add_argument("--hops", type=int)
+    p.add_argument("--hops", type=int,
+                   help="sampling hop count (default: the checkpoint's)")
     p.add_argument("--top-k-edges", type=int)
     p.add_argument("--top-k-genes", type=int)
     p.add_argument("--edge-percentile", type=float)
     p.add_argument("--gene-threshold", type=float)
     p.add_argument("--dot", action="store_true", help="also write DOT files")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("evaluate", help="score rankings against the truth")
@@ -427,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", default="1,5,10")
     p.add_argument("--out", help="write a JSON metric report here")
     p.add_argument("--worst-case-ties", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("fuse", help="re-rank external scores with a boost")

@@ -4,7 +4,10 @@ The encoder stacks L multi-head attention layers in the GATv2 style: per
 head, attention logits are a learned vector applied after the leaky-ReLU
 of the summed projected endpoint features, normalized by softmax over each
 destination's incident arcs plus a virtual self-loop. Head outputs pass
-through an ELU, are concatenated, and projected per layer.
+through an ELU, are concatenated, and projected per layer. Each layer
+holds three tensors: `W` (d_in, heads*head_dim) whose column block k is
+head k's projection, `a` (heads, head_dim) whose row k is head k's
+attention vector, and `Wproj`.
 
 Downstream heads: scaled dot-product pooling of phenotype embeddings into
 a patient vector, a per-arc MLP scorer over attention/patient/endpoint
@@ -112,12 +115,13 @@ def init_params(cfg: ModelConfig, node_count: int, rng: np.random.Generator) -> 
         raise ValueError("node_count must be positive")
     arrays = {"embed": _glorot(rng, cfg.embed_dim, cfg.embed_dim,
                                (node_count, cfg.embed_dim))}
+    hd = cfg.head_dim
     for l, (d_in, d_out) in enumerate(cfg.layer_dims()):
-        for k in range(cfg.heads):
-            arrays[f"layer{l}/head{k}/W"] = _glorot(
-                rng, d_in, cfg.head_dim, (d_in, cfg.head_dim))
-            arrays[f"layer{l}/head{k}/a"] = _glorot(
-                rng, cfg.head_dim, 1, (cfg.head_dim, 1))
+        # W then a per head, as in format v1, so a seed keeps its weights
+        draws = [(_glorot(rng, d_in, hd, (d_in, hd)), _glorot(rng, hd, 1, hd))
+                 for _ in range(cfg.heads)]
+        arrays[f"layer{l}/W"] = np.concatenate([w for w, _ in draws], axis=1)
+        arrays[f"layer{l}/a"] = np.stack([a for _, a in draws])
         arrays[f"layer{l}/Wproj"] = _glorot(
             rng, cfg.hidden_dim, d_out, (cfg.hidden_dim, d_out))
     arrays["query"] = rng.normal(0.0, 0.1, size=cfg.out_dim)
@@ -153,20 +157,13 @@ def gat_forward(params: ModelParams, cfg: ModelConfig,
     h = ad.gather_rows(params["embed"], sg.local_nodes)
     records = []
     for l in range(cfg.layers):
-        # all heads in one batch: stacked projections and a block-diagonal
-        # logit map, so scatter ops run once per layer instead of per head
-        w_stack = ad.concat([params[f"layer{l}/head{k}/W"] for k in range(H)], axis=1)
-        blocks = []
-        for k in range(H):
-            col = [ad.tensor(np.zeros((hd, 1))) for _ in range(H)]
-            col[k] = params[f"layer{l}/head{k}/a"]
-            blocks.append(ad.concat(col, axis=0))
-        a_block = ad.concat(blocks, axis=1)            # (H*hd, H)
-        z = ad.matmul(h, w_stack)                      # (n, H*hd)
+        # all heads in one batch, so scatter ops run once per layer
+        z = ad.matmul(h, params[f"layer{l}/W"])        # (n, H*hd)
         z_src = ad.gather_rows(z, src_all)
         z_dst = ad.gather_rows(z, dst_all)
         e = ad.leaky_relu(ad.add(z_src, z_dst), cfg.leaky_slope)
-        logits = ad.matmul(e, a_block)                 # (m, H)
+        logits = ad.sum_(ad.mul(ad.reshape(e, (m, H, hd)), params[f"layer{l}/a"]),
+                         axis=2)                       # (m, H)
         alpha = ad.segment_softmax(logits, dst_all, n)
         if sg.n_arcs:
             arc_alpha, _ = ad.split(alpha, [sg.n_arcs, n])
@@ -220,7 +217,9 @@ def score_genes(p: Tensor, node_embeddings_final: Tensor, edge_scores_raw: Tenso
     if gene_locals.size == 0:
         raise ValueError("empty candidate gene set")
     in_degree = np.bincount(sg.local_dst, minlength=sg.n_nodes)
-    assert np.all(in_degree[gene_locals] > 0), "gene with no incident arcs"
+    no_arcs = gene_locals[in_degree[gene_locals] == 0]
+    if no_arcs.size:
+        raise ValueError(f"gene (local {int(no_arcs[0])}) has no incoming arcs")
     mean_in = ad.segment_mean(ad.sigmoid(edge_scores_raw), sg.local_dst, sg.n_nodes)
     gene_mean = ad.gather_rows(mean_in, gene_locals)
     penalty = ad.scale(ad.shift(ad.neg(ad.clamp(gene_mean, 0.0, 1.0)), 1.0),

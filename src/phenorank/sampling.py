@@ -20,7 +20,7 @@ from .kg import KnowledgeGraph, NodeType
 
 __all__ = ["PatientRecord", "SampledSubgraph", "SupervisionLabels",
            "sample_phenotype_subgraph", "label_supervision_edges",
-           "candidate_genes", "load_cohort", "save_cohort"]
+           "load_cohort", "save_cohort"]
 
 
 @dataclass
@@ -48,8 +48,7 @@ class SampledSubgraph:
     local_dst: np.ndarray
     global_arc_id: np.ndarray
     phenotype_locals: np.ndarray
-    gene_locals: np.ndarray
-    hop_of_node: np.ndarray              # per local node, BFS depth from P
+    gene_locals: np.ndarray              # Gene-typed locals, ascending
     global_to_local: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -65,8 +64,7 @@ class SampledSubgraph:
 class SupervisionLabels:
     positive_arcs: set                   # local arc indices
     negative_arcs: set
-    causal_gene_missing: bool = False
-    degenerate: bool = False             # no positives found
+    degenerate: bool = False             # no positives (or gene not sampled)
 
     def __post_init__(self):
         if self.positive_arcs & self.negative_arcs:
@@ -129,7 +127,6 @@ def sample_phenotype_subgraph(g: KnowledgeGraph, phenotypes, m: int) -> SampledS
         global_arc_id=np.asarray(arc_ids, dtype=np.int64),
         phenotype_locals=np.asarray([g2l[p] for p in valid], dtype=np.int64),
         gene_locals=np.flatnonzero(types == gene_code).astype(np.int64),
-        hop_of_node=np.asarray([hop[int(v)] for v in local_nodes], dtype=np.int64),
         global_to_local=g2l,
     )
 
@@ -168,7 +165,7 @@ def label_supervision_edges(sg: SampledSubgraph, causal_gene: int, k: int,
     """
     g2l = sg.global_to_local
     if int(causal_gene) not in g2l:
-        return SupervisionLabels(set(), set(), causal_gene_missing=True, degenerate=True)
+        return SupervisionLabels(set(), set(), degenerate=True)
     gene_local = g2l[int(causal_gene)]
     adj = _local_adjacency(sg)
     dist_from_gene = _local_bfs(adj, [gene_local], sg.n_nodes)
@@ -193,11 +190,6 @@ def label_supervision_edges(sg: SampledSubgraph, causal_gene: int, k: int,
     return SupervisionLabels(positives, negatives)
 
 
-def candidate_genes(sg: SampledSubgraph) -> list[int]:
-    """Local indices of all Gene-typed nodes, ascending by global ID."""
-    return [int(i) for i in sg.gene_locals]
-
-
 # ------------------------------------------------------------- cohort files
 
 def load_cohort(path, key_to_id: dict | None = None) -> list[PatientRecord]:
@@ -205,6 +197,7 @@ def load_cohort(path, key_to_id: dict | None = None) -> list[PatientRecord]:
 
     When `key_to_id` is given, phenotype/gene entries are string node keys
     and get translated to dense IDs; otherwise they pass through unchanged.
+    A malformed line raises ValueError naming `path:line`.
     """
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -212,7 +205,14 @@ def load_cohort(path, key_to_id: dict | None = None) -> list[PatientRecord]:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            if not isinstance(obj, dict) or "id" not in obj \
+                    or not isinstance(obj.get("phenotypes"), list):
+                raise ValueError(f"{path}:{lineno}: a patient needs \"id\" and a "
+                                 f"\"phenotypes\" list")
 
             def to_id(x):
                 if key_to_id is not None:

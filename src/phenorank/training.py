@@ -27,7 +27,7 @@ __all__ = ["TrainConfig", "Checkpoint", "TrainingError", "CheckpointError",
            "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_MAGIC = b"RNCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2   # v2: one W and one a per layer, sample_hops stored
 
 
 class TrainingError(RuntimeError):
@@ -76,6 +76,7 @@ class Checkpoint:
     adam_step_count: int
     epoch: int
     seed: int
+    sample_hops: int                # hop count the model was trained with
     best_params: ModelParams | None = None
     best_val_mrr: float = -1.0
     version: int = CHECKPOINT_VERSION
@@ -259,6 +260,7 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
         adam_step_count=step_count,
         epoch=tcfg.epochs,
         seed=tcfg.seed,
+        sample_hops=tcfg.sample_hops,
         best_params=best_params,
         best_val_mrr=best_val_mrr,
     )
@@ -294,7 +296,8 @@ def _unpack_tensors(blob: bytes) -> dict:
     off = 4
     (version,) = struct.unpack_from("<I", body, off); off += 4
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+        raise CheckpointError(f"unsupported checkpoint version {version} "
+                              f"(this build reads version {CHECKPOINT_VERSION})")
     (count,) = struct.unpack_from("<Q", body, off); off += 8
     tensors = {}
     try:
@@ -327,6 +330,7 @@ def save_checkpoint(ckpt: Checkpoint, path):
     tensors["adam/step"] = np.float64(ckpt.adam_step_count)
     tensors["meta/epoch"] = np.float64(ckpt.epoch)
     tensors["meta/seed"] = np.float64(ckpt.seed)
+    tensors["meta/sample_hops"] = np.float64(ckpt.sample_hops)
     tensors["meta/best_val_mrr"] = np.float64(ckpt.best_val_mrr)
     if ckpt.best_params is not None:
         for k, a in ckpt.best_params.arrays().items():
@@ -335,15 +339,26 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    tensors = _unpack_tensors(Path(path).read_bytes())
+    """Read a checkpoint; a malformed file raises CheckpointError naming `path`."""
+    try:
+        return _checkpoint_from_tensors(_unpack_tensors(Path(path).read_bytes()))
+    except (TypeError, ValueError, OverflowError) as exc:
+        # CheckpointError, or a stored value that ModelConfig or int() rejects
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
+def _checkpoint_from_tensors(tensors: dict) -> Checkpoint:
     cfg_kwargs = {}
     params, adam_m, adam_v, best = {}, {}, {}, {}
     step = epoch = seed = 0
+    sample_hops = None
     best_val_mrr = -1.0
     for name, arr in tensors.items():
         head, _, rest = name.partition("/")
         if head == "config":
-            fld = ModelConfig.__dataclass_fields__[rest]
+            fld = ModelConfig.__dataclass_fields__.get(rest)
+            if fld is None:
+                raise CheckpointError(f"unknown config key {rest!r}")
             val = arr.item()
             cfg_kwargs[rest] = val if fld.type == "float" else int(val)
         elif head == "param":
@@ -358,10 +373,14 @@ def load_checkpoint(path) -> Checkpoint:
             epoch = int(arr.item())
         elif name == "meta/seed":
             seed = int(arr.item())
+        elif name == "meta/sample_hops":
+            sample_hops = int(arr.item())
         elif name == "meta/best_val_mrr":
             best_val_mrr = arr.item()
         elif head == "best":
             best[rest] = arr
+    if sample_hops is None:
+        raise CheckpointError("missing meta/sample_hops")
     return Checkpoint(
         model_config=ModelConfig(**cfg_kwargs),
         params=ModelParams.from_arrays(params),
@@ -370,6 +389,7 @@ def load_checkpoint(path) -> Checkpoint:
         adam_step_count=step,
         epoch=epoch,
         seed=seed,
+        sample_hops=sample_hops,
         best_params=ModelParams.from_arrays(best) if best else None,
         best_val_mrr=best_val_mrr,
     )

@@ -85,7 +85,7 @@ def test_backward_rejects_nonscalar_root():
 
 def test_quadratic_grad_check_is_exact(rng):
     params = {"x": leaf(rng.standard_normal(6))}
-    err = grad_check(lambda p: ad.dot(p["x"], p["x"]), params)
+    err = grad_check(lambda p: ad.sum_(ad.mul(p["x"], p["x"])), params)
     assert err <= 1e-8
 
 
@@ -113,17 +113,18 @@ PRIMITIVES = [
     ("elu", lambda p: ad.sum_(ad.elu(p["a"]))),
     ("sigmoid", lambda p: ad.sum_(ad.sigmoid(p["a"]))),
     ("clamp", lambda p: ad.sum_(ad.clamp(p["a"], -0.4, 0.4))),
-    ("softmax", lambda p: ad.dot(ad.softmax(p["a"]), p["b"])),
-    ("segment_softmax", lambda p: ad.dot(
-        ad.segment_softmax(p["a"], [0, 0, 1, 1, 1, 2, 2, 0, 1, 2] * 2, 3), p["b"])),
+    ("softmax", lambda p: ad.sum_(ad.mul(ad.softmax(p["a"]), p["b"]))),
+    ("segment_softmax", lambda p: ad.sum_(ad.mul(
+        ad.segment_softmax(p["a"], [0, 0, 1, 1, 1, 2, 2, 0, 1, 2] * 2, 3), p["b"]))),
     ("segment_sum", lambda p: ad.sum_(ad.mul(
         ad.segment_sum(p["a"], [0, 1, 2, 0] * 5, 3), ad.tensor([1.0, -2.0, 0.5])))),
     ("segment_mean", lambda p: ad.sum_(ad.mul(
         ad.segment_mean(p["a"], [0, 1, 2, 0] * 5, 3), ad.tensor([1.0, -2.0, 0.5])))),
-    ("segment_max", lambda p: ad.sum_(ad.segment_max(p["a"], [0, 1, 2, 0] * 5, 3))),
     ("l2_norm", lambda p: ad.l2_norm(p["a"])),
     ("row_l2_norm", lambda p: ad.sum_(ad.row_l2_norm(ad.reshape(p["a"], (4, 5))))),
-    ("dot", lambda p: ad.dot(p["a"], p["b"])),
+    ("sum_axis", lambda p: ad.sum_(ad.mul(
+        ad.sum_(ad.reshape(ad.mul(p["a"], p["b"]), (2, 5, 2)), axis=1),
+        ad.tensor([[1.0, -2.0], [0.5, 3.0]])))),
     ("mean", lambda p: ad.mean_(p["a"])),
     ("log1p_sum_exp", lambda p: ad.log1p_sum_exp(p["a"])),
 ]
@@ -148,6 +149,24 @@ def test_forward_is_deterministic(rng):
     r1 = ad.segment_softmax(Tensor(a), seg, 4).data
     r2 = ad.segment_softmax(Tensor(a), seg, 4).data
     assert np.array_equal(r1, r2)
+
+
+def test_sum_axis_drops_the_axis(rng):
+    a = rng.standard_normal((3, 4, 5))
+    for axis in range(3):
+        out = ad.sum_(Tensor(a), axis=axis).data
+        assert np.array_equal(out, a.sum(axis=axis))
+
+
+def test_gradients_are_not_left_on_tensors():
+    x = leaf(np.array([1.0, 2.0]))
+    with Tape() as tape:
+        y = ad.sum_(ad.mul(x, x))
+    first = tape.backward(y)["x"]
+    second = tape.backward(y)["x"]
+    assert np.array_equal(first, [2.0, 4.0])
+    assert np.array_equal(second, first)
+    assert not hasattr(x, "grad")
 
 
 def test_nested_tape_rejected():

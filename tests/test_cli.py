@@ -1,9 +1,13 @@
 import json
 import csv
+import struct
+import zlib
 
 import pytest
 
 from phenorank.cli import build_parser, main
+from phenorank.training import (CheckpointError, _pack_tensors, _unpack_tensors,
+                                load_checkpoint)
 
 SMALL_TRAIN_CONFIG = {
     "embed_dim": 8, "hidden_dim": 8, "out_dim": 6, "heads": 2, "layers": 2,
@@ -120,6 +124,84 @@ def test_extract_emits_patient_graphs_and_dot(workspace, tmp_path):
         assert set(obj) == {"id", "nodes", "genes"}
         assert set(obj["genes"]) <= set(obj["nodes"])
         assert (out_dir / f"{obj['id']}.dot").exists()
+
+
+def test_ingest_rejects_cohort_line_without_id(workspace, tmp_path, capsys):
+    cohort = tmp_path / "cohort.jsonl"
+    cohort.write_text('{"phenotypes": []}\n', encoding="utf-8")
+    assert main(["ingest", *args_for(workspace), "--cohort", str(cohort)]) == 1
+    assert f"{cohort}:1:" in capsys.readouterr().err
+
+
+def _with_version(blob: bytes, version: int) -> bytes:
+    body = bytearray(blob[:-4])
+    body[4:8] = struct.pack("<I", version)
+    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+
+
+def _edited(blob: bytes, edit) -> bytes:
+    tensors = _unpack_tensors(blob)
+    edit(tensors)
+    return _pack_tensors(tensors)
+
+
+BAD_CHECKPOINTS = {
+    "version_1": (lambda b: _with_version(b, 1), "version 1"),
+    "unknown_config_key": (lambda b: _edited(b, lambda t: t.update(
+        {"config/bogus": 1.0})), "unknown config key 'bogus'"),
+    "no_sample_hops": (lambda b: _edited(b, lambda t: t.pop("meta/sample_hops")),
+                       "missing meta/sample_hops"),
+    "bad_config_value": (lambda b: _edited(b, lambda t: t.update(
+        {"config/heads": 3.0})), "divisible"),
+    "bad_magic": (lambda b: b"JUNK" + b[4:], "magic"),
+    "flipped_byte": (lambda b: b[:40] + bytes([b[40] ^ 1]) + b[41:], "checksum"),
+    "truncated": (lambda b: b[:len(b) // 2], "checksum"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_CHECKPOINTS))
+def test_bad_checkpoint_names_file_and_exits_one(workspace, tmp_path, capsys, kind):
+    make, reason = BAD_CHECKPOINTS[kind]
+    bad = tmp_path / f"{kind}.rnck"
+    bad.write_bytes(make((workspace / "run" / "checkpoint.rnck").read_bytes()))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(bad)
+    assert str(info.value).startswith(f"{bad}: ") and reason in str(info.value)
+    out = tmp_path / "pred.jsonl"
+    assert main(["predict", *args_for(workspace), "--checkpoint", str(bad),
+                 "--patients", str(workspace / "data" / "test.jsonl"),
+                 "--out", str(out)]) == 1
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_serving_hops_default_to_the_trained_ones(workspace, tmp_path, capsys):
+    run = tmp_path / "run1"
+    assert main(["train", *args_for(workspace),
+                 "--cohort", str(workspace / "data" / "train.jsonl"),
+                 "--config", str(workspace / "train.json"), "--epochs", "1",
+                 "--hops", "1", "--out-dir", str(run)]) == 0
+    ckpt = run / "checkpoint.rnck"
+    assert load_checkpoint(ckpt).sample_hops == 1
+    serve = [*args_for(workspace), "--checkpoint", str(ckpt),
+             "--patients", str(workspace / "data" / "test.jsonl")]
+    assert main(["predict", *serve, "--out", str(run / "p" / "pred.jsonl")]) == 0
+    manifest = json.loads((run / "p" / "predict_manifest.json").read_text())
+    assert manifest["config"] == {"hops": 1}
+    assert main(["predict", *serve, "--hops", "1",
+                 "--out", str(run / "q" / "pred.jsonl")]) == 0
+    assert (run / "p" / "pred.jsonl").read_bytes() == \
+        (run / "q" / "pred.jsonl").read_bytes()
+    assert main(["extract", *serve, "--out-dir", str(run / "x")]) == 0
+    manifest = json.loads((run / "x" / "extract_manifest.json").read_text())
+    assert manifest["config"]["hops"] == 1
+    capsys.readouterr()
+    assert main(["predict", *serve, "--hops", "2",
+                 "--out", str(run / "r" / "pred.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "hops 2" in err and "sample_hops 1" in err
+    assert main(["extract", *serve, "--hops", "2",
+                 "--out-dir", str(run / "y")]) == 2
 
 
 def test_evaluate_predictions(workspace, tmp_path, capsys):

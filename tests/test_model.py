@@ -41,15 +41,40 @@ def test_init_shapes(small_model_config):
     arrays = init_params(cfg, 17, np.random.default_rng(0)).arrays()
     assert arrays["embed"].shape == (17, cfg.embed_dim)
     for l, (d_in, d_out) in enumerate(cfg.layer_dims()):
-        for k in range(cfg.heads):
-            assert arrays[f"layer{l}/head{k}/W"].shape == (d_in, cfg.head_dim)
-            assert arrays[f"layer{l}/head{k}/a"].shape == (cfg.head_dim, 1)
+        assert arrays[f"layer{l}/W"].shape == (d_in, cfg.heads * cfg.head_dim)
+        assert arrays[f"layer{l}/a"].shape == (cfg.heads, cfg.head_dim)
         assert arrays[f"layer{l}/Wproj"].shape == (cfg.hidden_dim, d_out)
+    assert sorted(k for k in arrays if k.startswith("layer0/")) == \
+        ["layer0/W", "layer0/Wproj", "layer0/a"]
     assert arrays["query"].shape == (cfg.out_dim,)
     assert arrays["attn_proj"].shape == (cfg.layers * cfg.heads, cfg.attn_proj_dim)
     feat = cfg.attn_proj_dim + 3 * cfg.out_dim
     assert arrays["edge_mlp/W1"].shape == (feat, 64)
     assert arrays["edge_mlp/W2"].shape == (64, 1)
+
+
+def test_init_stacks_the_per_head_draws(small_model_config):
+    """A seed gives the weights of drawing each head's W then a in turn."""
+    cfg, n, hd = small_model_config, 17, small_model_config.head_dim
+    arrays = init_params(cfg, n, np.random.default_rng(4)).arrays()
+    rng = np.random.default_rng(4)
+
+    def glorot(fan_in, fan_out, shape):
+        a = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-a, a, size=shape)
+
+    assert np.array_equal(arrays["embed"],
+                          glorot(cfg.embed_dim, cfg.embed_dim, (n, cfg.embed_dim)))
+    for l, (d_in, d_out) in enumerate(cfg.layer_dims()):
+        ws, qs = [], []
+        for _ in range(cfg.heads):
+            ws.append(glorot(d_in, hd, (d_in, hd)))
+            qs.append(glorot(hd, 1, (hd, 1)))
+        assert np.array_equal(arrays[f"layer{l}/W"], np.concatenate(ws, axis=1))
+        assert np.array_equal(arrays[f"layer{l}/a"], np.concatenate(qs, axis=1).T)
+        assert np.array_equal(arrays[f"layer{l}/Wproj"],
+                              glorot(cfg.hidden_dim, d_out, (cfg.hidden_dim, d_out)))
+    assert np.array_equal(arrays["query"], rng.normal(0.0, 0.1, size=cfg.out_dim))
 
 
 def test_config_validation():
@@ -97,13 +122,14 @@ def dense_gat_oracle(arrays, cfg, sg):
         return np.where(x > 0, x, cfg.leaky_slope * x)
 
     h = arrays["embed"][sg.local_nodes]
+    hd = cfg.head_dim
     alphas = []  # per layer: (n, n, H) with nan off-neighborhood
     for l in range(cfg.layers):
         heads = []
         layer_alpha = np.full((n, n, cfg.heads), np.nan)
         for k in range(cfg.heads):
-            z = h @ arrays[f"layer{l}/head{k}/W"]
-            a = arrays[f"layer{l}/head{k}/a"][:, 0]
+            z = h @ arrays[f"layer{l}/W"][:, k * hd:(k + 1) * hd]
+            a = arrays[f"layer{l}/a"][k]
             logits = np.full((n, n), -np.inf)
             for i in range(n):        # destination
                 for j in range(n):    # source
@@ -298,3 +324,12 @@ def test_gene_score_bounds_and_monotonicity(tmp_path, rng, small_model_config):
     after = score_genes(bundle.patient_vec, bundle.node_embeddings_final,
                         bumped, sg.gene_locals, lam, sg).data[0]
     assert after >= before - 1e-12
+
+
+def test_gene_without_incoming_arcs_rejected(tmp_path, rng):
+    g = load_graph(*write_graph(tmp_path, [("p", "phenotype", "p")], []))
+    sg = sample_phenotype_subgraph(g, {0}, 1)
+    h = ad.tensor(rng.standard_normal((1, 6)))
+    p = ad.tensor(rng.standard_normal(6))
+    with pytest.raises(ValueError, match="no incoming arcs"):
+        score_genes(p, h, ad.tensor(np.zeros(0)), [0], 0.5, sg)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phenorank.kg import load_graph
-from phenorank.sampling import (PatientRecord, SupervisionLabels, candidate_genes,
+from phenorank.sampling import (PatientRecord, SupervisionLabels,
                                 label_supervision_edges, load_cohort, save_cohort,
                                 sample_phenotype_subgraph)
 
@@ -29,20 +29,20 @@ def bfs_oracle(g, sources, m):
 def test_star_graph_one_hop(star_graph):
     sg = sample_phenotype_subgraph(star_graph, {0}, 1)
     assert sg.n_nodes == 5
-    assert candidate_genes(sg) == [1, 2, 3, 4]
+    assert sg.gene_locals.tolist() == [1, 2, 3, 4]
     assert list(sg.phenotype_locals) == [0]
 
 
 def test_chain_gene_beyond_hop_limit(chain_graph):
     sg = sample_phenotype_subgraph(chain_graph, {0}, 1)
     assert set(sg.local_nodes.tolist()) == {0, 1}
-    assert candidate_genes(sg) == []
+    assert sg.gene_locals.tolist() == []
 
 
 def test_chain_two_hops_reaches_gene(chain_graph):
     sg = sample_phenotype_subgraph(chain_graph, {0}, 2)
     assert set(sg.local_nodes.tolist()) == {0, 1, 2}
-    assert [int(sg.local_nodes[i]) for i in candidate_genes(sg)] == [2]
+    assert sg.local_nodes[sg.gene_locals].tolist() == [2]
 
 
 def test_invalid_hop_count(chain_graph):
@@ -68,8 +68,6 @@ def test_node_set_matches_bfs_oracle(tmp_path, rng):
         sg = sample_phenotype_subgraph(g, set(phenos), m)
         oracle = bfs_oracle(g, phenos, m)
         assert set(sg.local_nodes.tolist()) == set(oracle)
-        for i, v in enumerate(sg.local_nodes):
-            assert sg.hop_of_node[i] == oracle[int(v)]
 
 
 def test_arcs_are_induced_and_monotone(tmp_path, rng):
@@ -102,7 +100,7 @@ def test_candidate_genes_matches_type_scan(tmp_path, rng):
     sg = sample_phenotype_subgraph(g, phenos, 2)
     oracle = [i for i, v in enumerate(sg.local_nodes)
               if g.node_type(int(v)) is NodeType.GENE]
-    assert candidate_genes(sg) == oracle
+    assert sg.gene_locals.tolist() == oracle
 
 
 # ------------------------------------------------------------- supervision
@@ -129,7 +127,7 @@ def test_absent_causal_gene_flags_patient(tmp_path, rng):
     g, sg = triangle_subgraph(tmp_path)
     labels = label_supervision_edges(sg, 999, 5, rng)
     assert labels.positive_arcs == set() and labels.negative_arcs == set()
-    assert labels.causal_gene_missing
+    assert labels.degenerate
 
 
 def test_negative_cardinality_contract(tmp_path, rng):
@@ -158,15 +156,16 @@ def test_positive_arcs_respect_hop_bound(tmp_path, rng):
     from phenorank.kg import NodeType
     phenos = set(int(v) for v in g.nodes_of_type(NodeType.PHENOTYPE)[:3])
     sg = sample_phenotype_subgraph(g, phenos, 3)
-    genes = candidate_genes(sg)
+    genes = sg.gene_locals.tolist()
     if not genes:
         pytest.skip("random graph produced no candidate genes")
     gene_global = int(sg.local_nodes[genes[0]])
     labels = label_supervision_edges(sg, gene_global, 5, rng)
     shortest = bfs_oracle(g, sorted(phenos), 10)[gene_global]
+    depth = bfs_oracle(g, sorted(phenos), 3)
     for i in labels.positive_arcs:
         for end in (sg.local_src[i], sg.local_dst[i]):
-            assert sg.hop_of_node[end] <= shortest
+            assert depth[int(sg.local_nodes[end])] <= shortest
 
 
 def test_labeling_reproducible_with_fixed_seed(tmp_path):
@@ -175,7 +174,7 @@ def test_labeling_reproducible_with_fixed_seed(tmp_path):
     from phenorank.kg import NodeType
     phenos = set(int(v) for v in g.nodes_of_type(NodeType.PHENOTYPE)[:3])
     sg = sample_phenotype_subgraph(g, phenos, 3)
-    genes = candidate_genes(sg)
+    genes = sg.gene_locals.tolist()
     if not genes:
         pytest.skip("random graph produced no candidate genes")
     gene_global = int(sg.local_nodes[genes[-1]])
@@ -213,6 +212,21 @@ def test_cohort_key_translation(tmp_path):
     assert recs[0].causal_gene == 5
     with pytest.raises(ValueError, match="unknown node key"):
         load_cohort(path, {"P1": 0})
+
+
+@pytest.mark.parametrize("bad_line", [
+    '{"phenotypes": ["P1"]}',
+    '{"id": "x"}',
+    '{"id": "x", "phenotypes": 5}',
+    '{"id": "x", "phenotypes": ["P1"]',
+    '["x"]',
+])
+def test_malformed_cohort_line_names_path_and_line(tmp_path, bad_line):
+    path = tmp_path / "cohort.jsonl"
+    path.write_text('{"id": "a", "phenotypes": ["P1"]}\n' + bad_line + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{path}:2: "):
+        load_cohort(path)
 
 
 def test_empty_phenotype_set_rejected():
