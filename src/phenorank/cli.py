@@ -12,8 +12,10 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ from .kg import GraphFormatError, SubgraphExport, export_dot, load_graph
 from .losses import LossConfig
 from .metrics import MetricReport, Ranking, evaluate_rankings, rank_genes
 from .model import ModelConfig, forward
-from .sampling import load_cohort, sample_phenotype_subgraph
+from .sampling import load_cohort, read_jsonl, sample_phenotype_subgraph
 from .synthetic import SynthConfig, generate_dataset
 from .training import (TrainConfig, load_checkpoint, save_checkpoint, train)
 
@@ -58,6 +60,21 @@ def write_manifest(out_dir, command: str, config: dict, inputs: dict,
     return path
 
 
+@contextmanager
+def _replacing(path):
+    """Write `path` through a temp file beside it, moved into place only
+    when the block finishes, so a failed run leaves no truncated file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _load_flat_config(path) -> dict:
     if path is None:
         return {}
@@ -70,16 +87,14 @@ def _load_flat_config(path) -> dict:
     return obj
 
 
-def _split_configs(flat: dict, overrides: dict):
+def _split_configs(flat: dict):
     """Distribute flat key-values over the model/loss/train configs."""
     groups = {
         "model": (ModelConfig, {}),
         "loss": (LossConfig, {}),
         "train": (TrainConfig, {}),
     }
-    merged = dict(flat)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    for key, val in merged.items():
+    for key, val in flat.items():
         placed = False
         for cls, kwargs in groups.values():
             if key in cls.__dataclass_fields__:
@@ -141,12 +156,17 @@ def cmd_train(args) -> int:
         "sample_hops": args.hops,
         "val_fraction": args.val_fraction,
     }
-    mcfg, lcfg, tcfg = _split_configs(_load_flat_config(args.config), overrides)
+    flat = _load_flat_config(args.config)
+    flat.update({k: v for k, v in overrides.items() if v is not None})
+    resume = None
+    if args.resume:
+        resume = load_checkpoint(args.resume)
+        flat = _resumed_config(flat, resume, args.resume)
+    mcfg, lcfg, tcfg = _split_configs(flat)
     g = load_graph(args.nodes, args.edges)
     cohort = load_cohort(args.cohort, g.key_to_id)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    resume = load_checkpoint(args.resume) if args.resume else None
     ckpt, reports = train(g, cohort, mcfg, lcfg, tcfg, resume=resume,
                           progress=print)
     ckpt_path = out_dir / "checkpoint.rnck"
@@ -176,18 +196,41 @@ def _serving_hops(ckpt, hops, path) -> int:
     return ckpt.sample_hops
 
 
-def _per_patient_scores(g, ckpt, cohort, hops: int):
-    """Forward passes: (record, subgraph, bundle) in cohort order.
+def _resumed_config(flat: dict, ckpt, path) -> dict:
+    """The checkpoint's model config and hop count where `flat` sets none;
+    a different value in `flat` is an error."""
+    stored = ckpt.model_config.to_dict()
+    for key, val in stored.items():
+        if flat.get(key, val) != val:
+            raise ConfigError(f"{key} {flat[key]} differs from {key} {val} "
+                              f"that {path} was trained with")
+    stored["sample_hops"] = _serving_hops(ckpt, flat.get("sample_hops"), path)
+    return {**flat, **stored}
 
-    A list, not a generator: a failing patient stops the command before
-    any output line is written.
+
+def _per_patient_scores(g, ckpt, cohort, hops: int):
+    """Forward passes: (record, subgraph, bundle, error) in cohort order.
+
+    A patient without a usable phenotype node yields no subgraph and no
+    bundle, and the reason as its error.
     """
     params = ckpt.ranking_params()
-    out = []
     for rec in cohort:
-        sg = sample_phenotype_subgraph(g, rec.phenotypes, hops)
-        out.append((rec, sg, forward(params, ckpt.model_config, sg)))
-    return out
+        try:
+            sg = sample_phenotype_subgraph(g, rec.phenotypes, hops)
+        except ValueError as exc:
+            yield rec, None, None, f"patient {rec.patient_id}: {exc}"
+            continue
+        yield rec, sg, forward(params, ckpt.model_config, sg), None
+
+
+def _failure_exit(failed: list, total: int) -> int:
+    """0 when every patient succeeded, else 1 after a one-line summary."""
+    if not failed:
+        return 0
+    print(f"error: {len(failed)} of {total} patients failed (first: {failed[0]})",
+          file=sys.stderr)
+    return 1
 
 
 def cmd_predict(args) -> int:
@@ -197,25 +240,27 @@ def cmd_predict(args) -> int:
     g = load_graph(args.nodes, args.edges)
     cohort = load_cohort(args.patients, g.key_to_id)
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for rec, sg, bundle in _per_patient_scores(g, ckpt, cohort, hops):
-            if sg.gene_locals.size == 0:
+    failed = []
+    with _replacing(out_path) as fh:
+        for rec, sg, bundle, error in _per_patient_scores(g, ckpt, cohort, hops):
+            obj = {"id": rec.patient_id, "ranking": [], "scores": {}}
+            if error:
+                obj["error"] = error
+                failed.append(error)
+            elif sg.gene_locals.size == 0:
                 print(f"warning: patient {rec.patient_id} has no candidate genes",
                       file=sys.stderr)
-                obj = {"id": rec.patient_id, "ranking": [], "scores": {}}
             else:
                 scores = {g.node_keys[int(sg.local_nodes[gl])]: float(s)
                           for gl, s in zip(sg.gene_locals, bundle.gene_scores.data)}
-                ranking = rank_genes(scores)
-                obj = {"id": rec.patient_id, "ranking": ranking.order,
-                       "scores": {k: scores[k] for k in sorted(scores)}}
+                obj["ranking"] = rank_genes(scores).order
+                obj["scores"] = {k: scores[k] for k in sorted(scores)}
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
     inputs = {"nodes": args.nodes, "edges": args.edges,
               "patients": args.patients, "checkpoint": args.checkpoint}
     write_manifest(out_path.parent, "predict", {"hops": hops}, inputs,
                    {out_path.name: out_path}, ckpt.seed, time.monotonic() - t0)
-    return 0
+    return _failure_exit(failed, len(cohort))
 
 
 def cmd_extract(args) -> int:
@@ -236,36 +281,29 @@ def cmd_extract(args) -> int:
     g = load_graph(args.nodes, args.edges)
     cohort = load_cohort(args.patients, g.key_to_id)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pg_path = out_dir / "patient_graphs.jsonl"
-    with open(pg_path, "w", encoding="utf-8") as fh:
-        for rec, sg, bundle in _per_patient_scores(g, ckpt, cohort, ecfg.hops):
-            pg = extract_patient_graph(sg, bundle, ecfg)
-            fh.write(json.dumps(pg.to_json_obj(rec.patient_id, g.node_keys),
-                                sort_keys=True) + "\n")
-            if args.dot:
-                arc_ids = {int(a) for a in sg.global_arc_id
-                           if int(g.arc_src[a]) in pg.nodes
-                           and int(g.arc_dst[a]) in pg.nodes}
-                export = SubgraphExport(nodes=pg.nodes, arcs=arc_ids)
-                export_dot(g, export, out_dir / f"{rec.patient_id}.dot")
+    failed = []
+    with _replacing(pg_path) as fh:
+        for rec, sg, bundle, error in _per_patient_scores(g, ckpt, cohort, ecfg.hops):
+            if error:
+                obj = {"id": rec.patient_id, "nodes": [], "genes": [], "error": error}
+                failed.append(error)
+            else:
+                pg = extract_patient_graph(sg, bundle, ecfg)
+                obj = pg.to_json_obj(rec.patient_id, g.node_keys)
+                if args.dot:
+                    arc_ids = {int(a) for a in sg.global_arc_id
+                               if int(g.arc_src[a]) in pg.nodes
+                               and int(g.arc_dst[a]) in pg.nodes}
+                    export = SubgraphExport(nodes=pg.nodes, arcs=arc_ids)
+                    export_dot(g, export, out_dir / f"{rec.patient_id}.dot")
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
     inputs = {"nodes": args.nodes, "edges": args.edges,
               "patients": args.patients, "checkpoint": args.checkpoint}
     write_manifest(out_dir, "extract", ecfg.to_dict(), inputs,
                    {"patient_graphs.jsonl": pg_path}, ckpt.seed,
                    time.monotonic() - t0)
-    return 0
-
-
-def _load_predictions(path) -> dict:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                out[obj["id"]] = obj
-    return out
+    return _failure_exit(failed, len(cohort))
 
 
 def cmd_evaluate(args) -> int:
@@ -278,12 +316,13 @@ def cmd_evaluate(args) -> int:
 
     rankings, ranked_truths = [], []
     if args.predictions:
-        preds = _load_predictions(args.predictions)
+        preds = {obj["id"]: obj for _, obj in read_jsonl(
+            args.predictions, {"id": "id", "ranking": "ids", "scores": "numbers"})}
         for pid, truth in truths.items():
             if pid not in preds:
                 raise ConfigError(f"patient {pid} missing from predictions")
             order = preds[pid]["ranking"]
-            scores = preds[pid].get("scores") or {g: -i for i, g in enumerate(order)}
+            scores = preds[pid]["scores"] or {g: -i for i, g in enumerate(order)}
             if order:
                 rankings.append(rank_genes(scores, worst_case_ties=args.worst_case_ties,
                                            truth=truth))
@@ -332,11 +371,10 @@ def cmd_fuse(args) -> int:
     external = load_external_scores(args.external)
     pg_map = load_patient_graphs(args.patient_graphs)
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     rankings, truths = [], []
     cohort = load_cohort(args.cohort) if args.cohort else None
     truth_of = {r.patient_id: r.causal_gene for r in cohort} if cohort else {}
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with _replacing(out_path) as fh:
         for pid in sorted(pg_map):
             if pid not in external:
                 raise RuntimeError(f"patient {pid} missing from external score file")

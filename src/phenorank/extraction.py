@@ -10,14 +10,13 @@ the extracted node set.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import ScoreBundle
-from .sampling import SampledSubgraph
+from .sampling import SampledSubgraph, read_jsonl
 
 __all__ = ["ExtractionConfig", "PatientGraph", "compute_edge_threshold",
            "extract_patient_graph", "fuse_scores", "min_max_normalize"]
@@ -87,11 +86,7 @@ def extract_patient_graph(sg: SampledSubgraph, scores: ScoreBundle,
                      for gl, s in zip(scores.gene_locals, scores.gene_scores.data)}
     gene_set = set(int(gl) for gl in scores.gene_locals)
 
-    # per-local-node outgoing arc lists
-    out_arcs: list[list[int]] = [[] for _ in range(sg.n_nodes)]
-    for a in range(sg.n_arcs):
-        out_arcs[sg.local_src[a]].append(a)
-
+    offsets = sg.arc_offsets
     phen = [int(p) for p in sg.phenotype_locals]
     collected = set(phen)
     frontiers = [set(phen)]
@@ -100,7 +95,8 @@ def extract_patient_graph(sg: SampledSubgraph, scores: ScoreBundle,
         nxt: set[int] = set()
         for v in frontier:
             qualifying = [(e[a], int(sg.local_dst[a]))
-                          for a in out_arcs[v] if e[a] >= tau_edge]
+                          for a in range(offsets[v], offsets[v + 1])
+                          if e[a] >= tau_edge]
             for _, u in _topk_arcs(qualifying, cfg.top_k_edges):
                 nxt.add(u)
         frontiers.append(nxt)
@@ -109,7 +105,7 @@ def extract_patient_graph(sg: SampledSubgraph, scores: ScoreBundle,
     final: set[int] = set()
     for w in frontier:
         qualifying = [(e[a], int(sg.local_dst[a]))
-                      for a in out_arcs[w]
+                      for a in range(offsets[w], offsets[w + 1])
                       if int(sg.local_dst[a]) in gene_set
                       and e[a] >= tau_edge
                       and gene_score_of[int(sg.local_dst[a])] >= cfg.gene_threshold]
@@ -162,25 +158,11 @@ def fuse_scores(external: dict, patient_graph: PatientGraph, delta: float) -> li
 
 def load_patient_graphs(path) -> dict:
     """Read the per-patient JSON Lines export: id -> (nodes, genes)."""
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            out[obj["id"]] = (set(obj["nodes"]), set(obj["genes"]))
-    return out
+    return {obj["id"]: (set(obj["nodes"]), set(obj["genes"]))
+            for _, obj in read_jsonl(path, {"id": "id", "nodes": "ids", "genes": "ids"})}
 
 
 def load_external_scores(path) -> dict:
     """Read external score JSONL: id -> {gene: score}."""
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            out[obj["id"]] = {g: float(s) for g, s in obj["scores"].items()}
-    return out
+    return {obj["id"]: {g: float(s) for g, s in obj["scores"].items()}
+            for _, obj in read_jsonl(path, {"id": "id", "scores": "numbers"})}

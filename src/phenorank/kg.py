@@ -74,10 +74,6 @@ class KnowledgeGraph:
         lo, hi = self.adj_offsets[v], self.adj_offsets[v + 1]
         return [(int(a), int(self.arc_dst[a])) for a in range(lo, hi)]
 
-    def neighbor_slice(self, v: int) -> tuple[int, int]:
-        """CSR (start, stop) of arcs leaving `v`, for vectorized access."""
-        return int(self.adj_offsets[v]), int(self.adj_offsets[v + 1])
-
 
 @dataclass
 class SubgraphExport:

@@ -10,7 +10,6 @@ negatives from the remaining arcs.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .kg import KnowledgeGraph, NodeType
 
 __all__ = ["PatientRecord", "SampledSubgraph", "SupervisionLabels",
            "sample_phenotype_subgraph", "label_supervision_edges",
-           "load_cohort", "save_cohort"]
+           "read_jsonl", "load_cohort", "save_cohort"]
 
 
 @dataclass
@@ -40,7 +39,8 @@ class SampledSubgraph:
 
     local_nodes is sorted ascending by global ID, so local index order is
     deterministic. local_src/local_dst/global_arc_id are parallel arrays
-    ordered by (local_src, local_dst).
+    ordered by (local_src, local_dst), so they form a CSR layout: the arcs
+    leaving local node v are exactly arc_offsets[v]:arc_offsets[v + 1].
     """
 
     local_nodes: np.ndarray              # local -> global node ID
@@ -59,6 +59,11 @@ class SampledSubgraph:
     def n_arcs(self) -> int:
         return len(self.local_src)
 
+    @property
+    def arc_offsets(self) -> np.ndarray:
+        """n_nodes + 1 CSR offsets into the arc arrays."""
+        return np.searchsorted(self.local_src, np.arange(self.n_nodes + 1))
+
 
 @dataclass
 class SupervisionLabels:
@@ -71,22 +76,29 @@ class SupervisionLabels:
             raise ValueError("positive and negative arc sets overlap")
 
 
-def _bfs_hops(g: KnowledgeGraph, sources, m: int) -> dict:
-    """Hop distance from the source set, truncated at depth m."""
-    hop = {int(s): 0 for s in sources}
-    frontier = deque(hop)
-    while frontier:
-        v = frontier.popleft()
-        d = hop[v]
-        if d == m:
-            continue
-        lo, hi = g.neighbor_slice(v)
-        for u in g.arc_dst[lo:hi]:
-            u = int(u)
-            if u not in hop:
-                hop[u] = d + 1
-                frontier.append(u)
-    return hop
+def _arcs_leaving(offsets: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """CSR indices of all arcs leaving `nodes`, node by node."""
+    lo = offsets[nodes]
+    counts = offsets[nodes + 1] - lo
+    return np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _bfs(offsets: np.ndarray, dst: np.ndarray, sources, max_depth: int | None = None):
+    """Hop distance from the source set along CSR arcs, -1 where unreached.
+
+    Stops after `max_depth` hops when one is given.
+    """
+    dist = np.full(len(offsets) - 1, -1, dtype=np.int64)
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    depth = 0
+    while frontier.size:
+        dist[frontier] = depth
+        if depth == max_depth:
+            break
+        reached = dst[_arcs_leaving(offsets, frontier)]
+        frontier = np.unique(reached[dist[reached] < 0])
+        depth += 1
+    return dist
 
 
 def sample_phenotype_subgraph(g: KnowledgeGraph, phenotypes, m: int) -> SampledSubgraph:
@@ -106,51 +118,21 @@ def sample_phenotype_subgraph(g: KnowledgeGraph, phenotypes, m: int) -> SampledS
     if not valid:
         raise ValueError(f"no valid phenotype nodes among {sorted(skipped)}")
 
-    hop = _bfs_hops(g, valid, m)
-    local_nodes = np.asarray(sorted(hop), dtype=np.int64)
-    g2l = {int(v): i for i, v in enumerate(local_nodes)}
-    src, dst, arc_ids = [], [], []
-    for v in local_nodes:
-        lo, hi = g.neighbor_slice(int(v))
-        for a in range(lo, hi):
-            u = int(g.arc_dst[a])
-            if u in g2l:
-                src.append(g2l[int(v)])
-                dst.append(g2l[u])
-                arc_ids.append(a)
-    types = g.node_types[local_nodes]
+    local_nodes = np.flatnonzero(_bfs(g.adj_offsets, g.arc_dst, valid, m) >= 0)
+    to_local = np.full(g.node_count, -1, dtype=np.int64)
+    to_local[local_nodes] = np.arange(len(local_nodes))
+    arc_ids = _arcs_leaving(g.adj_offsets, local_nodes)
+    arc_ids = arc_ids[to_local[g.arc_dst[arc_ids]] >= 0]
     gene_code = KnowledgeGraph._TYPE_ORDER.index(NodeType.GENE)
     return SampledSubgraph(
         local_nodes=local_nodes,
-        local_src=np.asarray(src, dtype=np.int64),
-        local_dst=np.asarray(dst, dtype=np.int64),
-        global_arc_id=np.asarray(arc_ids, dtype=np.int64),
-        phenotype_locals=np.asarray([g2l[p] for p in valid], dtype=np.int64),
-        gene_locals=np.flatnonzero(types == gene_code).astype(np.int64),
-        global_to_local=g2l,
+        local_src=to_local[g.arc_src[arc_ids]],
+        local_dst=to_local[g.arc_dst[arc_ids]],
+        global_arc_id=arc_ids,
+        phenotype_locals=to_local[valid],
+        gene_locals=np.flatnonzero(g.node_types[local_nodes] == gene_code),
+        global_to_local={int(v): i for i, v in enumerate(local_nodes)},
     )
-
-
-def _local_adjacency(sg: SampledSubgraph):
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(sg.n_nodes)]
-    for i in range(sg.n_arcs):
-        adj[sg.local_src[i]].append((i, int(sg.local_dst[i])))
-    return adj
-
-
-def _local_bfs(adj, sources, n: int) -> np.ndarray:
-    dist = np.full(n, -1, dtype=np.int64)
-    q = deque()
-    for s in sources:
-        dist[s] = 0
-        q.append(s)
-    while q:
-        v = q.popleft()
-        for _, u in adj[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                q.append(u)
-    return dist
 
 
 def label_supervision_edges(sg: SampledSubgraph, causal_gene: int, k: int,
@@ -167,30 +149,65 @@ def label_supervision_edges(sg: SampledSubgraph, causal_gene: int, k: int,
     if int(causal_gene) not in g2l:
         return SupervisionLabels(set(), set(), degenerate=True)
     gene_local = g2l[int(causal_gene)]
-    adj = _local_adjacency(sg)
-    dist_from_gene = _local_bfs(adj, [gene_local], sg.n_nodes)
-
-    positives: set[int] = set()
+    offsets, src, dst = sg.arc_offsets, sg.local_src, sg.local_dst
+    to_gene = _bfs(offsets, dst, [gene_local])[dst]        # per arc: dist(v, gene)
+    on_path = np.zeros(sg.n_arcs, dtype=bool)
     for ph in sg.phenotype_locals:
-        dist_from_ph = _local_bfs(adj, [int(ph)], sg.n_nodes)
-        d = dist_from_ph[gene_local]
-        if d < 0:
-            continue
-        for i in range(sg.n_arcs):
-            u, v = int(sg.local_src[i]), int(sg.local_dst[i])
-            if dist_from_ph[u] >= 0 and dist_from_gene[v] >= 0 and \
-                    dist_from_ph[u] + 1 + dist_from_gene[v] == d:
-                positives.add(i)
+        dist = _bfs(offsets, dst, [ph])
+        d = dist[gene_local]
+        if d >= 0:
+            from_ph = dist[src]                                 # per arc: dist(p, u)
+            on_path |= (from_ph >= 0) & (to_gene >= 0) & (from_ph + 1 + to_gene == d)
+    positives = set(np.flatnonzero(on_path).tolist())
     if not positives:
         return SupervisionLabels(set(), set(), degenerate=True)
-    remainder = np.asarray(sorted(set(range(sg.n_arcs)) - positives), dtype=np.int64)
+    remainder = np.flatnonzero(~on_path)
     n_neg = min(k * len(positives), len(remainder))
     negatives = set(int(x) for x in rng.choice(remainder, size=n_neg, replace=False)) \
         if n_neg else set()
     return SupervisionLabels(positives, negatives)
 
 
-# ------------------------------------------------------------- cohort files
+# ------------------------------------------------------------ JSON Lines files
+
+def _is_id(x) -> bool:
+    return isinstance(x, (str, int))     # a patient ID or a node key
+
+
+_KINDS = {
+    "id": ("an ID", _is_id),
+    "ids": ("a list of IDs", lambda v: isinstance(v, list) and all(map(_is_id, v))),
+    "numbers": ("an object of numbers", lambda v: isinstance(v, dict) and all(
+        isinstance(x, (int, float)) for x in v.values())),
+}
+
+
+def read_jsonl(path, fields: dict):
+    """Yield (`path:line`, object) for every non-blank line of a JSON Lines file.
+
+    `fields` maps each required key to its kind: "id" (a string or an
+    integer), "ids" (a list of them) or "numbers" (an object of numbers).
+    A line with invalid JSON, or without a required key of its kind,
+    raises ValueError naming `path:line`.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: invalid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{where}: expected a JSON object")
+            for key, kind in fields.items():
+                what, fits = _KINDS[kind]
+                if not fits(obj.get(key)):
+                    raise ValueError(f"{where}: \"{key}\" must be {what}")
+            yield where, obj
+
 
 def load_cohort(path, key_to_id: dict | None = None) -> list[PatientRecord]:
     """Read a JSON Lines cohort file.
@@ -200,33 +217,24 @@ def load_cohort(path, key_to_id: dict | None = None) -> list[PatientRecord]:
     A malformed line raises ValueError naming `path:line`.
     """
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict) or "id" not in obj \
-                    or not isinstance(obj.get("phenotypes"), list):
-                raise ValueError(f"{path}:{lineno}: a patient needs \"id\" and a "
-                                 f"\"phenotypes\" list")
+    for where, obj in read_jsonl(path, {"id": "id", "phenotypes": "ids"}):
+        def to_id(x):
+            if key_to_id is not None:
+                if x not in key_to_id:
+                    raise ValueError(f"{where}: unknown node key {x!r}")
+                return key_to_id[x]
+            return x
 
-            def to_id(x):
-                if key_to_id is not None:
-                    if x not in key_to_id:
-                        raise ValueError(f"{path}:{lineno}: unknown node key {x!r}")
-                    return key_to_id[x]
-                return x
-
-            gene = obj.get("causal_gene")
-            records.append(PatientRecord(
-                patient_id=obj["id"],
-                phenotypes={to_id(p) for p in obj["phenotypes"]},
-                causal_gene=None if gene is None else to_id(gene),
-            ))
+        gene = obj.get("causal_gene")
+        if gene is not None and not _is_id(gene):
+            raise ValueError(f"{where}: \"causal_gene\" must be an ID or null")
+        if not obj["phenotypes"]:
+            raise ValueError(f"{where}: empty phenotype set")
+        records.append(PatientRecord(
+            patient_id=obj["id"],
+            phenotypes={to_id(p) for p in obj["phenotypes"]},
+            causal_gene=None if gene is None else to_id(gene),
+        ))
     return records
 
 

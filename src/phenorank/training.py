@@ -1,7 +1,6 @@
 """End-to-end optimization loop: Adam, step LR schedule, checkpointing.
 
-One optimizer step per patient (subgraphs vary in size, so no padding); an
-accumulation knob sums gradients over groups of patients before stepping.
+One optimizer step per patient (subgraphs vary in size, so no padding).
 All randomness derives from (seed, epoch, patient index), which makes runs
 bit-reproducible and lets a checkpoint resume to the exact state of an
 uninterrupted run.
@@ -20,7 +19,8 @@ from . import autodiff as ad
 from .kg import KnowledgeGraph
 from .losses import LossConfig, LossReport, gene_loss, subgraph_loss, total_loss
 from .model import ModelConfig, ModelParams, forward, init_params
-from .sampling import label_supervision_edges, sample_phenotype_subgraph
+from .sampling import (SupervisionLabels, label_supervision_edges,
+                       sample_phenotype_subgraph)
 
 __all__ = ["TrainConfig", "Checkpoint", "TrainingError", "CheckpointError",
            "train", "adam_step", "clip_gradients",
@@ -50,9 +50,7 @@ class TrainConfig:
     adam_eps: float = 1e-8
     grad_clip_norm: float = 5.0
     sample_hops: int = 2
-    accumulate: int = 1             # patients per optimizer step
     val_fraction: float = 0.1       # held out for best-MRR checkpoint selection
-    log_every: int = 1
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -199,9 +197,7 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
         order = np.random.default_rng([tcfg.seed, 1000 + epoch]).permutation(len(train_idx))
         sub_sum = gene_sum = tot_sum = 0.0
         hn_sum = 0
-        pending: dict = {}
-        pending_n = 0
-        for pos, j in enumerate(order):
+        for j in order:
             i = train_idx[int(j)]
             rec = cohort[i]
             sg = subgraphs[i]
@@ -210,7 +206,6 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
                 labels = label_supervision_edges(sg, rec.causal_gene,
                                                  lcfg.negative_ratio, labels_rng)
             else:
-                from .sampling import SupervisionLabels
                 labels = SupervisionLabels(set(), set(), degenerate=True)
             with ad.Tape() as tape:
                 loss_t, report = _patient_loss(params, mcfg, lcfg, sg, labels,
@@ -218,17 +213,9 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
             if not np.isfinite(report.loss_total):
                 raise TrainingError(
                     f"non-finite loss for patient {rec.patient_id} at epoch {epoch}")
-            grads = tape.backward(loss_t)
-            for k, gr in grads.items():
-                pending[k] = pending.get(k, 0.0) + gr
-            pending_n += 1
-            if pending_n >= tcfg.accumulate or pos == len(order) - 1:
-                if pending_n > 1:
-                    pending = {k: gr / pending_n for k, gr in pending.items()}
-                pending = clip_gradients(pending, tcfg.grad_clip_norm)
-                step_count += 1
-                adam_step(arrays, pending, adam_m, adam_v, step_count, lr, tcfg)
-                pending, pending_n = {}, 0
+            grads = clip_gradients(tape.backward(loss_t), tcfg.grad_clip_norm)
+            step_count += 1
+            adam_step(arrays, grads, adam_m, adam_v, step_count, lr, tcfg)
             sub_sum += report.loss_sub
             gene_sum += report.loss_gene
             tot_sum += report.loss_total
@@ -245,7 +232,7 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
             if val_mrr > best_val_mrr:
                 best_val_mrr = val_mrr
                 best_params = params.copy()
-        if progress and (epoch % tcfg.log_every == 0 or epoch == tcfg.epochs - 1):
+        if progress:
             msg = (f"epoch {epoch:3d}  lr {lr:.2e}  loss {epoch_report.loss_total:.4f}"
                    f"  (sub {epoch_report.loss_sub:.4f} gene {epoch_report.loss_gene:.4f})")
             if val_mrr is not None:
@@ -347,49 +334,55 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: {exc}") from None
 
 
+_SCALARS = ("adam/step", "meta/epoch", "meta/seed", "meta/sample_hops",
+            "meta/best_val_mrr")
+
+
 def _checkpoint_from_tensors(tensors: dict) -> Checkpoint:
-    cfg_kwargs = {}
-    params, adam_m, adam_v, best = {}, {}, {}, {}
-    step = epoch = seed = 0
-    sample_hops = None
-    best_val_mrr = -1.0
+    cfg_kwargs, scalars = {}, {}
+    groups = {"param/": {}, "adam/m/": {}, "adam/v/": {}, "best/": {}}
     for name, arr in tensors.items():
-        head, _, rest = name.partition("/")
-        if head == "config":
-            fld = ModelConfig.__dataclass_fields__.get(rest)
+        prefix = next((p for p in groups if name.startswith(p)), None)
+        if name.startswith("config/"):
+            fld = ModelConfig.__dataclass_fields__.get(name[7:])
             if fld is None:
-                raise CheckpointError(f"unknown config key {rest!r}")
+                raise CheckpointError(f"unknown config key {name[7:]!r}")
             val = arr.item()
-            cfg_kwargs[rest] = val if fld.type == "float" else int(val)
-        elif head == "param":
-            params[rest] = arr
-        elif head == "adam" and rest.startswith("m/"):
-            adam_m[rest[2:]] = arr
-        elif head == "adam" and rest.startswith("v/"):
-            adam_v[rest[2:]] = arr
-        elif name == "adam/step":
-            step = int(arr.item())
-        elif name == "meta/epoch":
-            epoch = int(arr.item())
-        elif name == "meta/seed":
-            seed = int(arr.item())
-        elif name == "meta/sample_hops":
-            sample_hops = int(arr.item())
-        elif name == "meta/best_val_mrr":
-            best_val_mrr = arr.item()
-        elif head == "best":
-            best[rest] = arr
-    if sample_hops is None:
+            cfg_kwargs[fld.name] = val if fld.type == "float" else int(val)
+        elif prefix is not None:
+            groups[prefix][name[len(prefix):]] = arr
+        elif name in _SCALARS:
+            scalars[name] = arr.item()
+        else:
+            raise CheckpointError(f"unknown tensor {name!r}")
+    if "meta/sample_hops" not in scalars:
         raise CheckpointError("missing meta/sample_hops")
+    mcfg = ModelConfig(**cfg_kwargs)
+    params, best = groups["param/"], groups["best/"]
+    # the layout of init_params, with the stored node count
+    expected = {k: a.shape for k, a in
+                init_params(mcfg, 1, np.random.default_rng(0)).arrays().items()}
+    expected["embed"] = (len(params.get("embed", ())), mcfg.embed_dim)
+    for prefix, group in groups.items():
+        if not group and prefix == "best/":
+            continue
+        for k in sorted(expected.keys() | group.keys()):
+            if k not in group:
+                raise CheckpointError(f"missing {prefix}{k}")
+            if k not in expected:
+                raise CheckpointError(f"unknown tensor {prefix + k!r}")
+            if group[k].shape != expected[k]:
+                raise CheckpointError(f"{prefix}{k} has shape {group[k].shape}, "
+                                      f"the stored config needs {expected[k]}")
     return Checkpoint(
-        model_config=ModelConfig(**cfg_kwargs),
+        model_config=mcfg,
         params=ModelParams.from_arrays(params),
-        adam_m=adam_m,
-        adam_v=adam_v,
-        adam_step_count=step,
-        epoch=epoch,
-        seed=seed,
-        sample_hops=sample_hops,
+        adam_m=groups["adam/m/"],
+        adam_v=groups["adam/v/"],
+        adam_step_count=int(scalars.get("adam/step", 0)),
+        epoch=int(scalars.get("meta/epoch", 0)),
+        seed=int(scalars.get("meta/seed", 0)),
+        sample_hops=int(scalars["meta/sample_hops"]),
         best_params=ModelParams.from_arrays(best) if best else None,
-        best_val_mrr=best_val_mrr,
+        best_val_mrr=scalars.get("meta/best_val_mrr", -1.0),
     )

@@ -156,6 +156,20 @@ BAD_CHECKPOINTS = {
     "bad_magic": (lambda b: b"JUNK" + b[4:], "magic"),
     "flipped_byte": (lambda b: b[:40] + bytes([b[40] ^ 1]) + b[41:], "checksum"),
     "truncated": (lambda b: b[:len(b) // 2], "checksum"),
+    # a best/ snapshot without its embedding table
+    "no_best_embed": (lambda b: _edited(b, lambda t: t.update(
+        {f"best/{k[6:]}": v for k, v in list(t.items())
+         if k.startswith("param/") and k != "param/embed"})), "missing best/embed"),
+    "no_adam_moment": (lambda b: _edited(b, lambda t: t.pop("adam/v/query")),
+                       "missing adam/v/query"),
+    "bad_param_shape": (lambda b: _edited(b, lambda t: t.update(
+        {"param/query": t["param/query"][:-1]})), "param/query has shape"),
+    "other_model_config": (lambda b: _edited(b, lambda t: t.update(
+        {"config/out_dim": 12.0})), "the stored config needs"),
+    "unknown_tensor": (lambda b: _edited(b, lambda t: t.update(
+        {"extra/x": 1.0})), "unknown tensor 'extra/x'"),
+    "unknown_param": (lambda b: _edited(b, lambda t: t.update(
+        {"param/extra": 1.0})), "unknown tensor 'param/extra'"),
 }
 
 
@@ -202,6 +216,73 @@ def test_serving_hops_default_to_the_trained_ones(workspace, tmp_path, capsys):
     assert "hops 2" in err and "sample_hops 1" in err
     assert main(["extract", *serve, "--hops", "2",
                  "--out-dir", str(run / "y")]) == 2
+
+
+def test_resume_takes_the_checkpoint_settings(workspace, tmp_path, capsys):
+    resume = [*args_for(workspace), "--cohort", str(workspace / "data" / "train.jsonl"),
+              "--epochs", "3", "--resume", str(workspace / "run" / "checkpoint.rnck")]
+    # no --config and no --hops: the model config and hops are the checkpoint's
+    assert main(["train", *resume, "--out-dir", str(tmp_path / "a")]) == 0
+    ck = load_checkpoint(tmp_path / "a" / "checkpoint.rnck")
+    assert ck.sample_hops == 2 and ck.model_config.embed_dim == 8
+    capsys.readouterr()
+    assert main(["train", *resume, "--hops", "1", "--out-dir", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert "hops 1" in err and "sample_hops 2" in err
+    wider = tmp_path / "wider.json"
+    wider.write_text(json.dumps({**SMALL_TRAIN_CONFIG, "embed_dim": 16}), encoding="utf-8")
+    assert main(["train", *resume, "--config", str(wider),
+                 "--out-dir", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert "embed_dim 16" in err and "embed_dim 8" in err
+    assert not (tmp_path / "b").exists() and not (tmp_path / "c").exists()
+
+
+def _first_gene_key(workspace):
+    for line in (workspace / "data" / "nodes.tsv").read_text().splitlines():
+        key, kind, _ = line.split("\t")
+        if kind == "gene":
+            return key
+
+
+def test_one_bad_patient_keeps_the_others(workspace, tmp_path, capsys):
+    test_set = workspace / "data" / "test.jsonl"
+    good = tmp_path / "good.jsonl"
+    serve = [*args_for(workspace), "--checkpoint",
+             str(workspace / "run" / "checkpoint.rnck")]
+    assert main(["predict", *serve, "--patients", str(test_set), "--out", str(good)]) == 0
+    assert main(["extract", *serve, "--patients", str(test_set),
+                 "--out-dir", str(tmp_path / "good")]) == 0
+    lines = test_set.read_text().splitlines()
+    bad = json.dumps({"id": "bad", "phenotypes": [_first_gene_key(workspace)]})
+    patients = tmp_path / "patients.jsonl"
+    patients.write_text("\n".join(lines[:1] + [bad] + lines[1:]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+
+    out = tmp_path / "p" / "pred.jsonl"
+    assert main(["predict", *serve, "--patients", str(patients), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"1 of {len(lines) + 1} patients failed" in err and "patient bad" in err
+    records = [json.loads(x) for x in out.read_text().splitlines()]
+    failed = records.pop(1)
+    assert failed["id"] == "bad" and failed["ranking"] == [] and failed["scores"] == {}
+    assert "no valid phenotype" in failed["error"]
+    assert records == [json.loads(x) for x in good.read_text().splitlines()]
+    assert (tmp_path / "p" / "predict_manifest.json").exists()
+
+    assert main(["extract", *serve, "--patients", str(patients),
+                 "--out-dir", str(tmp_path / "x")]) == 1
+    assert f"1 of {len(lines) + 1} patients failed" in capsys.readouterr().err
+    graphs = [json.loads(x) for x in
+              (tmp_path / "x" / "patient_graphs.jsonl").read_text().splitlines()]
+    failed = graphs.pop(1)
+    assert (failed["id"], failed["nodes"], failed["genes"]) == ("bad", [], [])
+    assert "no valid phenotype" in failed["error"]
+    assert graphs == [json.loads(x) for x in
+                      (tmp_path / "good" / "patient_graphs.jsonl").read_text().splitlines()]
+    assert (tmp_path / "x" / "extract_manifest.json").exists()
+    assert sorted(f.name for f in (tmp_path / "p").iterdir()) == \
+        ["pred.jsonl", "predict_manifest.json"]
 
 
 def test_evaluate_predictions(workspace, tmp_path, capsys):
@@ -270,6 +351,44 @@ def test_fuse_boost_promotes_member_gene(tmp_path):
     # GB is min-max normalized to 0.5 and boosted past GA's 1.0
     assert obj["ranking"][0] == "GB"
     assert obj["scores"]["GB"] == pytest.approx(1.1)
+
+
+GOOD_LINES = {
+    "predictions": '{"id": "a", "ranking": ["G1"], "scores": {"G1": 0.5}}',
+    "patient-graphs": '{"id": "a", "nodes": ["G1"], "genes": ["G1"]}',
+    "external": '{"id": "a", "scores": {"G1": 0.5}}',
+}
+
+
+@pytest.mark.parametrize("kind, bad_line", [
+    ("predictions", '{"id": "b", "scores": {}}'),
+    ("predictions", '{"id": "b", "ranking": "G1", "scores": {}}'),
+    ("predictions", '{"id": "b", "ranking": [], "scores": {"G1": "high"}}'),
+    ("patient-graphs", '{"id": "b", "nodes": []}'),
+    ("patient-graphs", '{"id": "b", "nodes": [["G1"]], "genes": []}'),
+    ("patient-graphs", '{"id": "b", "nodes": [], "genes": []'),
+    ("external", '{"id": "b", "scores": 5}'),
+    ("external", '{"scores": {}}'),
+    ("external", '[1, 2]'),
+])
+def test_malformed_jsonl_line_names_path_and_line(tmp_path, capsys, kind, bad_line):
+    files = {}
+    for name, good in GOOD_LINES.items():
+        files[name] = tmp_path / f"{name}.jsonl"
+        files[name].write_text(good + "\n" + (bad_line + "\n" if name == kind else ""),
+                               encoding="utf-8")
+    cohort = tmp_path / "cohort.jsonl"
+    cohort.write_text('{"id": "a", "phenotypes": ["P1"], "causal_gene": "G1"}\n',
+                      encoding="utf-8")
+    if kind == "external":
+        argv = ["fuse", "--external", str(files["external"]), "--patient-graphs",
+                str(files["patient-graphs"]), "--delta", "0.1",
+                "--out", str(tmp_path / "fused.jsonl")]
+    else:
+        argv = ["evaluate", f"--{kind}", str(files[kind]), "--cohort", str(cohort)]
+    assert main(argv) == 1
+    assert f"{files[kind]}:2: " in capsys.readouterr().err
+    assert not (tmp_path / "fused.jsonl").exists()
 
 
 def test_fuse_missing_patient_is_fatal(tmp_path, capsys):

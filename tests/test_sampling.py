@@ -184,6 +184,75 @@ def test_labeling_reproducible_with_fixed_seed(tmp_path):
     assert l1.negative_arcs == l2.negative_arcs
 
 
+def local_dist(sg, source):
+    """Plain-dict BFS over the subgraph's arc list."""
+    adj = {}
+    for u, v in zip(sg.local_src.tolist(), sg.local_dst.tolist()):
+        adj.setdefault(u, []).append(v)
+    dist = {source: 0}
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        for v in adj.get(u, []):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                q.append(v)
+    return dist
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_positive_arcs_match_shortest_path_oracle(tmp_path, m):
+    from phenorank.kg import NodeType
+    checked = 0
+    for seed in range(5):
+        nodes, edges = random_graph(np.random.default_rng(seed), 80, 160)
+        g = load_graph(*write_graph(tmp_path, nodes, edges, name=f"r{seed}"))
+        phenos = set(int(v) for v in g.nodes_of_type(NodeType.PHENOTYPE)[:3])
+        sg = sample_phenotype_subgraph(g, phenos, m)
+        for gene in sg.gene_locals.tolist():
+            from_gene = local_dist(sg, gene)
+            want = set()
+            for ph in sg.phenotype_locals.tolist():
+                from_ph = local_dist(sg, ph)
+                if gene not in from_ph:
+                    continue
+                want |= {i for i, (u, v) in enumerate(zip(sg.local_src.tolist(),
+                                                          sg.local_dst.tolist()))
+                         if u in from_ph and v in from_gene
+                         and from_ph[u] + 1 + from_gene[v] == from_ph[gene]}
+            labels = label_supervision_edges(sg, int(sg.local_nodes[gene]), 5,
+                                             np.random.default_rng(seed))
+            assert labels.positive_arcs == want
+            assert labels.degenerate == (not want)
+            checked += 1
+    assert checked > 0
+
+
+def test_isolated_phenotype_has_no_arcs(tmp_path):
+    nodes = [("p", "phenotype", "p"), ("g", "gene", "g"), ("d", "disease", "d")]
+    g = load_graph(*write_graph(tmp_path, nodes, [("g", "r", "d")]))
+    sg = sample_phenotype_subgraph(g, {0}, 2)
+    assert sg.n_nodes == 1 and sg.n_arcs == 0
+    assert sg.arc_offsets.tolist() == [0, 0]
+    # the phenotype as its own target: no arcs, so no positives
+    labels = label_supervision_edges(sg, 0, 5, np.random.default_rng(0))
+    assert labels.degenerate and not labels.positive_arcs
+
+
+def test_arc_offsets_delimit_each_nodes_arcs(tmp_path, rng):
+    nodes, edges = random_graph(rng, 150, 350)
+    g = load_graph(*write_graph(tmp_path, nodes, edges))
+    from phenorank.kg import NodeType
+    phenos = set(int(v) for v in g.nodes_of_type(NodeType.PHENOTYPE)[:3])
+    for m in (1, 2, 3):
+        sg = sample_phenotype_subgraph(g, phenos, m)
+        offsets = sg.arc_offsets
+        assert len(offsets) == sg.n_nodes + 1
+        for v in range(sg.n_nodes):
+            assert list(range(offsets[v], offsets[v + 1])) == \
+                np.flatnonzero(sg.local_src == v).tolist()
+
+
 def test_supervision_labels_reject_overlap():
     with pytest.raises(ValueError):
         SupervisionLabels({1, 2}, {2, 3})
@@ -220,6 +289,10 @@ def test_cohort_key_translation(tmp_path):
     '{"id": "x", "phenotypes": 5}',
     '{"id": "x", "phenotypes": ["P1"]',
     '["x"]',
+    '{"id": "x", "phenotypes": []}',
+    '{"id": ["x"], "phenotypes": ["P1"]}',
+    '{"id": "x", "phenotypes": [{"P1": 1}]}',
+    '{"id": "x", "phenotypes": ["P1"], "causal_gene": ["G1"]}',
 ])
 def test_malformed_cohort_line_names_path_and_line(tmp_path, bad_line):
     path = tmp_path / "cohort.jsonl"

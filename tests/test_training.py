@@ -173,14 +173,6 @@ def test_one_epoch_one_patient_is_one_step(tiny_setup):
     assert len(reports) == 1
 
 
-def test_accumulation_changes_step_count_not_report_count(tiny_setup):
-    g, cohort = tiny_setup
-    ck, reports = train(g, cohort, SMALL, LossConfig(),
-                        quick_tcfg(epochs=1, accumulate=3))
-    assert ck.adam_step_count == 2  # 6 patients / 3
-    assert len(reports) == 1
-
-
 def test_validation_tracks_best_params(tiny_setup):
     g, cohort = tiny_setup
     ck, _ = train(g, cohort, SMALL, LossConfig(),
