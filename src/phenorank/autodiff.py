@@ -18,8 +18,8 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "tensor",
-    "add", "sub", "neg", "mul", "div", "matmul", "scale", "shift",
-    "concat", "split", "reshape", "tile_rows", "gather_rows",
+    "add", "sub", "mul", "div", "matmul", "scale", "shift",
+    "concat", "reshape", "tile_rows", "gather_rows",
     "abs_", "abs_diff", "relu", "leaky_relu", "elu", "sigmoid", "clamp",
     "segment_softmax", "segment_sum", "segment_mean",
     "softmax", "l2_norm", "row_l2_norm", "sum_", "mean_", "log1p_sum_exp",
@@ -145,11 +145,6 @@ def sub(a, b) -> Tensor:
     return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
-def neg(a) -> Tensor:
-    a = tensor(a)
-    return _record(Tensor(-a.data), (a,), lambda g: (-g,))
-
-
 def mul(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
     try:
@@ -200,27 +195,6 @@ def concat(parts, axis: int = 0) -> Tensor:
                      for i in range(len(parts)))
 
     return _record(out, parts, vjp)
-
-
-def split(a, sizes, axis: int = 0) -> list[Tensor]:
-    a = tensor(a)
-    if sum(sizes) != a.data.shape[axis]:
-        raise ShapeError(f"split: sizes {sizes} do not cover axis of shape {a.shape}")
-    offsets = np.cumsum([0] + list(sizes))
-    outs = []
-    for i in range(len(sizes)):
-        idx = np.arange(offsets[i], offsets[i + 1])
-        piece = Tensor(np.take(a.data, idx, axis=axis))
-
-        def vjp(g, idx=idx):
-            full = np.zeros_like(a.data)
-            sl = [slice(None)] * a.data.ndim
-            sl[axis] = idx
-            full[tuple(sl)] = g
-            return (full,)
-
-        outs.append(_record(piece, (a,), vjp))
-    return outs
 
 
 def reshape(a, shape) -> Tensor:

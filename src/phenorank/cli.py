@@ -16,15 +16,14 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .extraction import (ExtractionConfig, PatientGraph, extract_patient_graph,
                          fuse_scores, load_external_scores, load_patient_graphs,
                          min_max_normalize)
-from .kg import GraphFormatError, SubgraphExport, export_dot, load_graph
+from .kg import GraphFormatError, export_dot, load_graph
 from .losses import LossConfig
 from .metrics import MetricReport, Ranking, evaluate_rankings, rank_genes
 from .model import ModelConfig, forward
@@ -55,24 +54,33 @@ def write_manifest(out_dir, command: str, config: dict, inputs: dict,
         "wall_clock_s": round(elapsed, 3),
     }
     path = Path(out_dir) / f"{command}_manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    with _replacing(path) as tmp:
+        tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+                       encoding="utf-8")
     return path
 
 
 @contextmanager
 def _replacing(path):
-    """Write `path` through a temp file beside it, moved into place only
-    when the block finishes, so a failed run leaves no truncated file."""
+    """Yield a temp path beside `path` for the block to write; it is moved
+    onto `path` only when the block finishes, so a failed run leaves no
+    truncated file (and no temp file)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
+        yield tmp
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _check_graph(ckpt, g, path):
+    """The checkpoint's embedding table must have one row per graph node."""
+    rows = len(ckpt.params["embed"].data)
+    if rows != g.node_count:
+        raise ValueError(f"{path} was trained on a graph of {rows} nodes, "
+                         f"this graph has {g.node_count}")
 
 
 def _load_flat_config(path) -> dict:
@@ -119,14 +127,14 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         flat["seed"] = args.seed
     try:
-        cfg = SynthConfig.from_dict(flat)
+        cfg = SynthConfig(**flat)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     out = Path(args.out)
     manifest = generate_dataset(cfg, out)
     outputs = {name: out / name for name in manifest["files"]}
     outputs["manifest.json"] = out / "manifest.json"
-    write_manifest(out, "synth", cfg.to_dict(), {}, outputs, cfg.seed,
+    write_manifest(out, "synth", asdict(cfg), {}, outputs, cfg.seed,
                    time.monotonic() - t0)
     print(f"wrote dataset to {out}")
     return 0
@@ -164,15 +172,18 @@ def cmd_train(args) -> int:
         flat = _resumed_config(flat, resume, args.resume)
     mcfg, lcfg, tcfg = _split_configs(flat)
     g = load_graph(args.nodes, args.edges)
+    if resume is not None:
+        _check_graph(resume, g, args.resume)
     cohort = load_cohort(args.cohort, g.key_to_id)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt, reports = train(g, cohort, mcfg, lcfg, tcfg, resume=resume,
                           progress=print)
     ckpt_path = out_dir / "checkpoint.rnck"
-    save_checkpoint(ckpt, ckpt_path)
+    with _replacing(ckpt_path) as tmp:
+        save_checkpoint(ckpt, tmp)
     trace_path = out_dir / "loss_trace.csv"
-    with open(trace_path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(trace_path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss_sub", "loss_gene", "loss_total"])
         start = ckpt.epoch - len(reports)
@@ -180,7 +191,7 @@ def cmd_train(args) -> int:
             writer.writerow([start + i, repr(r.loss_sub), repr(r.loss_gene),
                              repr(r.loss_total)])
     inputs = {"nodes": args.nodes, "edges": args.edges, "cohort": args.cohort}
-    config = {"model": mcfg.to_dict(), "loss": lcfg.to_dict(), "train": tcfg.to_dict()}
+    config = {"model": asdict(mcfg), "loss": asdict(lcfg), "train": asdict(tcfg)}
     write_manifest(out_dir, "train", config, inputs,
                    {"checkpoint.rnck": ckpt_path, "loss_trace.csv": trace_path},
                    tcfg.seed, time.monotonic() - t0)
@@ -199,7 +210,7 @@ def _serving_hops(ckpt, hops, path) -> int:
 def _resumed_config(flat: dict, ckpt, path) -> dict:
     """The checkpoint's model config and hop count where `flat` sets none;
     a different value in `flat` is an error."""
-    stored = ckpt.model_config.to_dict()
+    stored = asdict(ckpt.model_config)
     for key, val in stored.items():
         if flat.get(key, val) != val:
             raise ConfigError(f"{key} {flat[key]} differs from {key} {val} "
@@ -238,10 +249,11 @@ def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     hops = _serving_hops(ckpt, args.hops, args.checkpoint)
     g = load_graph(args.nodes, args.edges)
+    _check_graph(ckpt, g, args.checkpoint)
     cohort = load_cohort(args.patients, g.key_to_id)
     out_path = Path(args.out)
     failed = []
-    with _replacing(out_path) as fh:
+    with _replacing(out_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for rec, sg, bundle, error in _per_patient_scores(g, ckpt, cohort, hops):
             obj = {"id": rec.patient_id, "ranking": [], "scores": {}}
             if error:
@@ -279,11 +291,12 @@ def cmd_extract(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     g = load_graph(args.nodes, args.edges)
+    _check_graph(ckpt, g, args.checkpoint)
     cohort = load_cohort(args.patients, g.key_to_id)
     out_dir = Path(args.out_dir)
     pg_path = out_dir / "patient_graphs.jsonl"
     failed = []
-    with _replacing(pg_path) as fh:
+    with _replacing(pg_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for rec, sg, bundle, error in _per_patient_scores(g, ckpt, cohort, ecfg.hops):
             if error:
                 obj = {"id": rec.patient_id, "nodes": [], "genes": [], "error": error}
@@ -295,12 +308,11 @@ def cmd_extract(args) -> int:
                     arc_ids = {int(a) for a in sg.global_arc_id
                                if int(g.arc_src[a]) in pg.nodes
                                and int(g.arc_dst[a]) in pg.nodes}
-                    export = SubgraphExport(nodes=pg.nodes, arcs=arc_ids)
-                    export_dot(g, export, out_dir / f"{rec.patient_id}.dot")
+                    export_dot(g, pg.nodes, arc_ids, out_dir / f"{rec.patient_id}.dot")
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
     inputs = {"nodes": args.nodes, "edges": args.edges,
               "patients": args.patients, "checkpoint": args.checkpoint}
-    write_manifest(out_dir, "extract", ecfg.to_dict(), inputs,
+    write_manifest(out_dir, "extract", asdict(ecfg), inputs,
                    {"patient_graphs.jsonl": pg_path}, ckpt.seed,
                    time.monotonic() - t0)
     return _failure_exit(failed, len(cohort))
@@ -353,8 +365,8 @@ def cmd_evaluate(args) -> int:
     out_path = Path(args.out) if args.out else None
     outputs = {}
     if out_path:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(report.to_json() + "\n", encoding="utf-8")
+        with _replacing(out_path) as tmp:
+            tmp.write_text(report.to_json() + "\n", encoding="utf-8")
         outputs[out_path.name] = out_path
         inputs = {"cohort": args.cohort}
         if args.predictions:
@@ -374,7 +386,7 @@ def cmd_fuse(args) -> int:
     rankings, truths = [], []
     cohort = load_cohort(args.cohort) if args.cohort else None
     truth_of = {r.patient_id: r.causal_gene for r in cohort} if cohort else {}
-    with _replacing(out_path) as fh:
+    with _replacing(out_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for pid in sorted(pg_map):
             if pid not in external:
                 raise RuntimeError(f"patient {pid} missing from external score file")

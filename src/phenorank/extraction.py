@@ -11,12 +11,12 @@ the extracted node set.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ScoreBundle
-from .sampling import SampledSubgraph, read_jsonl
+from .sampling import SampledSubgraph, _arcs_leaving, read_jsonl
 
 __all__ = ["ExtractionConfig", "PatientGraph", "compute_edge_threshold",
            "extract_patient_graph", "fuse_scores", "min_max_normalize"]
@@ -37,9 +37,6 @@ class ExtractionConfig:
             raise ValueError("hops and top-k limits must be >= 1")
         if not 0 < self.edge_percentile < 100:
             raise ValueError("edge_percentile must lie in (0, 100)")
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
 @dataclass
@@ -65,60 +62,41 @@ def compute_edge_threshold(edge_scores, percentile: float) -> float:
     return float(np.percentile(edge_scores, percentile, method="linear"))
 
 
-def _topk_arcs(candidates, k: int):
-    """Top-k (score, dst) pairs by descending score, ties by ascending dst."""
-    return sorted(candidates, key=lambda c: (-c[0], c[1]))[:k]
-
-
 def extract_patient_graph(sg: SampledSubgraph, scores: ScoreBundle,
                           cfg: ExtractionConfig) -> PatientGraph:
     """Thresholded m-hop expansion over the sampled subgraph.
 
     Hops 1..m-1 expand every frontier node along qualifying arcs (raw edge
     score >= tau_edge, top-k1 per node); the final hop admits only genes
-    satisfying both thresholds, top-k2 per node by edge score. Gene nodes
-    reached at earlier hops stay in the node set but only final-hop genes
-    count as selected.
+    satisfying both thresholds, top-k2 per node by edge score. Ties in
+    score go to the smaller destination. Gene nodes reached at earlier
+    hops stay in the node set but only final-hop genes count as selected.
     """
     e = np.asarray(scores.edge_scores.data, dtype=np.float64)
     tau_edge = compute_edge_threshold(e, cfg.edge_percentile) if e.size else np.inf
-    gene_score_of = {int(gl): float(s)
-                     for gl, s in zip(scores.gene_locals, scores.gene_scores.data)}
-    gene_set = set(int(gl) for gl in scores.gene_locals)
+    gene_passes = np.zeros(sg.n_nodes, dtype=bool)
+    gene_passes[scores.gene_locals] = scores.gene_scores.data >= cfg.gene_threshold
 
     offsets = sg.arc_offsets
-    phen = [int(p) for p in sg.phenotype_locals]
-    collected = set(phen)
-    frontiers = [set(phen)]
-    frontier = list(sorted(phen))
-    for _hop in range(1, cfg.hops):
-        nxt: set[int] = set()
-        for v in frontier:
-            qualifying = [(e[a], int(sg.local_dst[a]))
-                          for a in range(offsets[v], offsets[v + 1])
-                          if e[a] >= tau_edge]
-            for _, u in _topk_arcs(qualifying, cfg.top_k_edges):
-                nxt.add(u)
-        frontiers.append(nxt)
-        collected |= nxt
-        frontier = sorted(nxt)
-    final: set[int] = set()
-    for w in frontier:
-        qualifying = [(e[a], int(sg.local_dst[a]))
-                      for a in range(offsets[w], offsets[w + 1])
-                      if int(sg.local_dst[a]) in gene_set
-                      and e[a] >= tau_edge
-                      and gene_score_of[int(sg.local_dst[a])] >= cfg.gene_threshold]
-        for _, u in _topk_arcs(qualifying, cfg.top_k_genes):
-            final.add(u)
-    frontiers.append(final)
-    collected |= final
+    frontiers = [np.unique(sg.phenotype_locals)]
+    for hop in range(1, cfg.hops + 1):
+        final = hop == cfg.hops
+        arcs = _arcs_leaving(offsets, frontiers[-1])
+        arcs = arcs[e[arcs] >= tau_edge]
+        if final:
+            arcs = arcs[gene_passes[sg.local_dst[arcs]]]
+        src, dst = sg.local_src[arcs], sg.local_dst[arcs]
+        order = np.lexsort((dst, -e[arcs], src))
+        src, dst = src[order], dst[order]
+        rank = np.arange(len(src)) - np.searchsorted(src, src)   # within src's run
+        k = cfg.top_k_genes if final else cfg.top_k_edges
+        frontiers.append(np.unique(dst[rank < k]))
 
-    to_global = lambda s: {int(sg.local_nodes[v]) for v in s}
+    to_global = lambda f: set(sg.local_nodes[f].tolist())
     return PatientGraph(
-        nodes=to_global(collected),
+        nodes=to_global(np.concatenate(frontiers)),
         frontier_by_hop=[to_global(f) for f in frontiers],
-        selected_genes=to_global(final),
+        selected_genes=to_global(frontiers[-1]),
     )
 
 

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["NodeType", "KnowledgeGraph", "SubgraphExport", "GraphFormatError",
-           "load_graph", "save_graph", "export_dot"]
+__all__ = ["NodeType", "KnowledgeGraph", "GraphFormatError", "load_graph",
+           "export_dot"]
 
 
 class GraphFormatError(ValueError):
@@ -73,20 +73,6 @@ class KnowledgeGraph:
             raise IndexError(f"node id {v} out of range [0, {self.node_count})")
         lo, hi = self.adj_offsets[v], self.adj_offsets[v + 1]
         return [(int(a), int(self.arc_dst[a])) for a in range(lo, hi)]
-
-
-@dataclass
-class SubgraphExport:
-    """A node/arc subset of a KnowledgeGraph plus per-node display labels."""
-
-    nodes: set
-    arcs: set
-    node_annotations: dict = field(default_factory=dict)
-
-    def validate(self, g: KnowledgeGraph):
-        for a in self.arcs:
-            if int(g.arc_src[a]) not in self.nodes or int(g.arc_dst[a]) not in self.nodes:
-                raise ValueError(f"arc {a} has an endpoint outside the node set")
 
 
 def _parse_type(token: str, lineno: int, path) -> NodeType:
@@ -172,42 +158,28 @@ def load_graph(node_file, edge_file) -> KnowledgeGraph:
     )
 
 
-def save_graph(g: KnowledgeGraph, node_file, edge_file):
-    """Write the graph back out in the TSV formats accepted by load_graph."""
-    with open(node_file, "w", encoding="utf-8") as fh:
-        for i in range(g.node_count):
-            fh.write(f"{g.node_keys[i]}\t{g.node_type(i).value}\t{g.node_names[i]}\n")
-    with open(edge_file, "w", encoding="utf-8") as fh:
-        for a in range(g.arc_count):
-            u, v = int(g.arc_src[a]), int(g.arc_dst[a])
-            if u < v:
-                fh.write(f"{g.node_keys[u]}\t{g.arc_relation[a]}\t{g.node_keys[v]}\n")
-
-
 def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(g: KnowledgeGraph, s: SubgraphExport, out):
-    """Write an undirected DOT document for a subgraph selection.
+def export_dot(g: KnowledgeGraph, nodes: set, arcs: set, out):
+    """Write an undirected DOT document for a node/arc subset of `g`.
 
-    Node shape/color encode the node type; annotations are appended to the
-    label. Arc pairs collapse to a single undirected edge statement.
+    Node shape/color encode the node type. Arc pairs collapse to a single
+    undirected edge statement. An arc with an endpoint outside `nodes`
+    raises ValueError.
     """
-    s.validate(g)
+    for a in arcs:
+        if int(g.arc_src[a]) not in nodes or int(g.arc_dst[a]) not in nodes:
+            raise ValueError(f"arc {a} has an endpoint outside the node set")
     lines = ["graph patient_subgraph {"]
-    for v in sorted(s.nodes):
-        t = g.node_type(v)
-        shape, color = _DOT_STYLE[t]
-        label = g.node_names[v]
-        ann = s.node_annotations.get(v)
-        if ann is not None:
-            label = f"{label}\\n{ann}"
+    for v in sorted(nodes):
+        shape, color = _DOT_STYLE[g.node_type(v)]
         lines.append(
-            f"  n{v} [label={_dot_quote(label)}, shape={shape}, "
+            f"  n{v} [label={_dot_quote(g.node_names[v])}, shape={shape}, "
             f"style=filled, fillcolor={color}];")
     seen = set()
-    for a in sorted(s.arcs):
+    for a in sorted(arcs):
         u, v = int(g.arc_src[a]), int(g.arc_dst[a])
         key = (min(u, v), max(u, v))
         if key in seen:

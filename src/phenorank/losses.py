@@ -43,9 +43,6 @@ class LossConfig:
         if not 0 < self.sparsity_threshold < 1:
             raise ValueError("sparsity_threshold must lie in (0, 1)")
 
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
 
 @dataclass
 class LossReport:
@@ -81,7 +78,7 @@ def subgraph_loss(edge_scores: Tensor, labels: SupervisionLabels,
         e_pos = ad.gather_rows(edge_scores, np.asarray(pos))
         e_neg = ad.gather_rows(edge_scores, np.asarray(neg))
         diff = ad.sub(ad.reshape(e_pos, (len(pos), 1)), ad.reshape(e_neg, (1, len(neg))))
-        loss = ad.mean_(ad.relu(ad.shift(ad.neg(diff), cfg.margin)))
+        loss = ad.mean_(ad.relu(ad.shift(ad.scale(diff, -1.0), cfg.margin)))
     loss = ad.add(loss, ad.scale(ad.sum_(ad.abs_(edge_scores)), cfg.l1_weight))
     loss = ad.add(loss, ad.scale(ad.sum_(ad.mul(edge_scores, edge_scores)), cfg.l2_weight))
     sparsity = ad.mean_(ad.relu(ad.shift(ad.sigmoid(edge_scores),

@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["Ranking", "MetricReport", "rank_genes", "hits_at_k", "mrr",
            "inclusion_rate", "evaluate_rankings"]
 
@@ -20,9 +18,6 @@ __all__ = ["Ranking", "MetricReport", "rank_genes", "hits_at_k", "mrr",
 class Ranking:
     order: list                      # gene IDs, best first
     rank_of: dict                    # gene -> 1-based rank
-
-    def __len__(self):
-        return len(self.order)
 
 
 def rank_genes(gene_scores: dict, worst_case_ties: bool = False,

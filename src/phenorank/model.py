@@ -27,7 +27,7 @@ from .autodiff import Tensor
 from .sampling import SampledSubgraph
 
 __all__ = ["ModelConfig", "ModelParams", "ScoreBundle", "init_params",
-           "gat_forward", "patient_representation", "score_edges",
+           "param_shapes", "gat_forward", "patient_representation", "score_edges",
            "score_genes", "forward"]
 
 EDGE_MLP_HIDDEN = 64
@@ -45,10 +45,11 @@ class ModelConfig:
     leaky_slope: float = 0.2
 
     def __post_init__(self):
+        for name in ("embed_dim", "hidden_dim", "out_dim", "heads", "layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.hidden_dim % self.heads:
             raise ValueError("hidden_dim must be divisible by heads")
-        if self.layers < 1:
-            raise ValueError("layers must be >= 1")
         if self.penalty_weight < 0:
             raise ValueError("penalty_weight must be >= 0")
 
@@ -65,9 +66,6 @@ class ModelConfig:
             dims.append((d_in, d_out))
             d_in = d_out
         return dims
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
 @dataclass
@@ -136,6 +134,22 @@ def init_params(cfg: ModelConfig, node_count: int, rng: np.random.Generator) -> 
     return ModelParams.from_arrays(arrays)
 
 
+def param_shapes(cfg: ModelConfig, node_count: int) -> dict:
+    """Name -> shape of every tensor that init_params makes, drawing nothing."""
+    shapes = {"embed": (node_count, cfg.embed_dim)}
+    for l, (d_in, d_out) in enumerate(cfg.layer_dims()):
+        shapes[f"layer{l}/W"] = (d_in, cfg.hidden_dim)
+        shapes[f"layer{l}/a"] = (cfg.heads, cfg.head_dim)
+        shapes[f"layer{l}/Wproj"] = (cfg.hidden_dim, d_out)
+    shapes["query"] = (cfg.out_dim,)
+    shapes["attn_proj"] = (cfg.layers * cfg.heads, cfg.attn_proj_dim)
+    shapes["edge_mlp/W1"] = (cfg.attn_proj_dim + 3 * cfg.out_dim, EDGE_MLP_HIDDEN)
+    shapes["edge_mlp/b1"] = (EDGE_MLP_HIDDEN,)
+    shapes["edge_mlp/W2"] = (EDGE_MLP_HIDDEN, 1)
+    shapes["edge_mlp/b2"] = (1,)
+    return shapes
+
+
 def gat_forward(params: ModelParams, cfg: ModelConfig,
                 sg: SampledSubgraph) -> tuple[Tensor, Tensor]:
     """Run the attention stack over a sampled subgraph.
@@ -165,11 +179,7 @@ def gat_forward(params: ModelParams, cfg: ModelConfig,
         logits = ad.sum_(ad.mul(ad.reshape(e, (m, H, hd)), params[f"layer{l}/a"]),
                          axis=2)                       # (m, H)
         alpha = ad.segment_softmax(logits, dst_all, n)
-        if sg.n_arcs:
-            arc_alpha, _ = ad.split(alpha, [sg.n_arcs, n])
-        else:
-            arc_alpha = ad.tensor(np.zeros((0, H)))
-        records.append(arc_alpha)
+        records.append(ad.gather_rows(alpha, np.arange(sg.n_arcs)))   # real arcs only
         messages = ad.mul(ad.reshape(alpha, (m, H, 1)),
                           ad.reshape(z_src, (m, H, hd)))
         agg = ad.segment_sum(ad.reshape(messages, (m, H * hd)), dst_all, n)
@@ -222,7 +232,7 @@ def score_genes(p: Tensor, node_embeddings_final: Tensor, edge_scores_raw: Tenso
         raise ValueError(f"gene (local {int(no_arcs[0])}) has no incoming arcs")
     mean_in = ad.segment_mean(ad.sigmoid(edge_scores_raw), sg.local_dst, sg.n_nodes)
     gene_mean = ad.gather_rows(mean_in, gene_locals)
-    penalty = ad.scale(ad.shift(ad.neg(ad.clamp(gene_mean, 0.0, 1.0)), 1.0),
+    penalty = ad.scale(ad.shift(ad.scale(ad.clamp(gene_mean, 0.0, 1.0), -1.0), 1.0),
                        penalty_weight)
     d = p.data.shape[0]
     h_g = ad.gather_rows(node_embeddings_final, gene_locals)

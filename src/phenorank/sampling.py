@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .kg import KnowledgeGraph, NodeType
 
 __all__ = ["PatientRecord", "SampledSubgraph", "SupervisionLabels",
            "sample_phenotype_subgraph", "label_supervision_edges",
-           "read_jsonl", "load_cohort", "save_cohort"]
+           "read_jsonl", "load_cohort"]
 
 
 @dataclass
@@ -236,16 +235,3 @@ def load_cohort(path, key_to_id: dict | None = None) -> list[PatientRecord]:
             causal_gene=None if gene is None else to_id(gene),
         ))
     return records
-
-
-def save_cohort(records, path, id_to_key=None):
-    key = (lambda i: id_to_key[i]) if id_to_key is not None else (lambda i: i)
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            obj = {
-                "id": r.patient_id,
-                "phenotypes": [key(p) for p in sorted(r.phenotypes)],
-                "causal_gene": None if r.causal_gene is None else key(r.causal_gene),
-            }
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-    return Path(path)

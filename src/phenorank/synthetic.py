@@ -13,12 +13,16 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 __all__ = ["SynthConfig", "generate_kg", "generate_cohort", "generate_dataset"]
+
+# Rows of the background draw matrix held in memory at once. Blocks of rows
+# take the same values from the generator as one n x n draw would.
+DRAW_BLOCK_ROWS = 128
 
 
 @dataclass
@@ -47,13 +51,6 @@ class SynthConfig:
             raise ValueError("background_edge_prob must lie in [0, 1]")
         if self.split_mode not in ("mixed", "disjoint_genes"):
             raise ValueError(f"unknown split_mode {self.split_mode!r}")
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SynthConfig":
-        return cls(**obj)
 
 
 def generate_kg(cfg: SynthConfig):
@@ -85,21 +82,23 @@ def generate_kg(cfg: SynthConfig):
         node_rows.append((f"B{b:05d}", "other", f"background {b}"))
 
     # Erdos-Renyi background edges over all unordered pairs except direct
-    # phenotype-gene links and the planted edges themselves.
+    # phenotype-gene links and the planted edges themselves: pair (i, j),
+    # i < j, is drawn at row i, column j of an n x n uniform matrix, in
+    # row-major order.
     keys = [r[0] for r in node_rows]
-    types = np.array([r[1] for r in node_rows])
+    kind = np.array([{"phenotype": 1, "gene": 2}.get(r[1], 0) for r in node_rows])
     n = len(keys)
     planted_pairs = {(min(a, c), max(a, c)) for a, _, c in edge_rows}
     if cfg.background_edge_prob > 0:
-        draws = rng.random((n, n))
-        iu, ju = np.triu_indices(n, k=1)
-        hit = draws[iu, ju] < cfg.background_edge_prob
-        pg = ((types[iu] == "phenotype") & (types[ju] == "gene")) | \
-             ((types[iu] == "gene") & (types[ju] == "phenotype"))
-        for i, j in zip(iu[hit & ~pg], ju[hit & ~pg]):
-            a, c = keys[i], keys[j]
-            if (min(a, c), max(a, c)) not in planted_pairs:
-                edge_rows.append((a, "background", c))
+        for r0 in range(0, n, DRAW_BLOCK_ROWS):
+            block = rng.random((min(DRAW_BLOCK_ROWS, n - r0), n))
+            iu, ju = np.nonzero(block < cfg.background_edge_prob)
+            iu += r0
+            keep = (iu < ju) & (kind[iu] * kind[ju] != 2)    # not phenotype-gene
+            for i, j in zip(iu[keep], ju[keep]):
+                a, c = keys[i], keys[j]
+                if (min(a, c), max(a, c)) not in planted_pairs:
+                    edge_rows.append((a, "background", c))
     return node_rows, edge_rows, planted
 
 
@@ -201,7 +200,7 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> dict:
                 fh.write(json.dumps(p, sort_keys=True) + "\n")
 
     manifest = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "seed": cfg.seed,
         "files": {name: _sha256(p) for name, p in sorted(paths.items())},
     }

@@ -8,9 +8,11 @@ uninterrupted run.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .kg import KnowledgeGraph
 from .losses import LossConfig, LossReport, gene_loss, subgraph_loss, total_loss
-from .model import ModelConfig, ModelParams, forward, init_params
+from .model import ModelConfig, ModelParams, forward, init_params, param_shapes
 from .sampling import (SupervisionLabels, label_supervision_edges,
                        sample_phenotype_subgraph)
 
@@ -28,6 +30,11 @@ __all__ = ["TrainConfig", "Checkpoint", "TrainingError", "CheckpointError",
 
 CHECKPOINT_MAGIC = b"RNCK"
 CHECKPOINT_VERSION = 2   # v2: one W and one a per layer, sample_hops stored
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+GRAD_CLIP_NORM = 5.0     # global L2 norm the gradients are clipped to
 
 
 class TrainingError(RuntimeError):
@@ -45,10 +52,6 @@ class TrainConfig:
     lr_factor: float = 0.5
     epochs: int = 30
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    grad_clip_norm: float = 5.0
     sample_hops: int = 2
     val_fraction: float = 0.1       # held out for best-MRR checkpoint selection
 
@@ -57,9 +60,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
     def lr_at(self, epoch: int) -> float:
         return self.learning_rate * self.lr_factor ** (epoch // self.lr_step)
@@ -77,7 +77,6 @@ class Checkpoint:
     sample_hops: int                # hop count the model was trained with
     best_params: ModelParams | None = None
     best_val_mrr: float = -1.0
-    version: int = CHECKPOINT_VERSION
 
     def ranking_params(self) -> ModelParams:
         """Best-validation parameters when tracked, else the final ones."""
@@ -95,9 +94,9 @@ def clip_gradients(grads: dict, max_norm: float) -> dict:
 
 
 def adam_step(arrays: dict, grads: dict, m: dict, v: dict, step_index: int,
-              lr: float, cfg: TrainConfig):
+              lr: float):
     """In-place Adam update with bias correction; grads are pre-clipped."""
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     t = step_index
     for name, p in arrays.items():
         g = grads.get(name)
@@ -111,6 +110,17 @@ def adam_step(arrays: dict, grads: dict, m: dict, v: dict, step_index: int,
 
 
 # ------------------------------------------------------------ training loop
+
+@contextmanager
+def _finite(what: str):
+    """An overflow or a non-finite value inside the block raises
+    TrainingError naming `what`."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise TrainingError(f"{what}: {exc}") from None
+
 
 def _patient_loss(params, mcfg, lcfg, sg, labels, causal_gene):
     bundle = forward(params, mcfg, sg)
@@ -207,15 +217,13 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
                                                  lcfg.negative_ratio, labels_rng)
             else:
                 labels = SupervisionLabels(set(), set(), degenerate=True)
-            with ad.Tape() as tape:
-                loss_t, report = _patient_loss(params, mcfg, lcfg, sg, labels,
-                                               rec.causal_gene)
-            if not np.isfinite(report.loss_total):
-                raise TrainingError(
-                    f"non-finite loss for patient {rec.patient_id} at epoch {epoch}")
-            grads = clip_gradients(tape.backward(loss_t), tcfg.grad_clip_norm)
-            step_count += 1
-            adam_step(arrays, grads, adam_m, adam_v, step_count, lr, tcfg)
+            with _finite(f"patient {rec.patient_id} at epoch {epoch}"):
+                with ad.Tape() as tape:
+                    loss_t, report = _patient_loss(params, mcfg, lcfg, sg, labels,
+                                                   rec.causal_gene)
+                grads = clip_gradients(tape.backward(loss_t), GRAD_CLIP_NORM)
+                step_count += 1
+                adam_step(arrays, grads, adam_m, adam_v, step_count, lr)
             sub_sum += report.loss_sub
             gene_sum += report.loss_gene
             tot_sum += report.loss_total
@@ -226,9 +234,10 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
 
         val_mrr = None
         if val_idx:
-            val_mrr = _validation_mrr(params, mcfg,
-                                      [cohort[i] for i in sorted(val_idx)],
-                                      [subgraphs[i] for i in sorted(val_idx)])
+            with _finite(f"validation at epoch {epoch}"):
+                val_mrr = _validation_mrr(params, mcfg,
+                                          [cohort[i] for i in sorted(val_idx)],
+                                          [subgraphs[i] for i in sorted(val_idx)])
             if val_mrr > best_val_mrr:
                 best_val_mrr = val_mrr
                 best_params = params.copy()
@@ -285,15 +294,15 @@ def _unpack_tensors(blob: bytes) -> dict:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version} "
                               f"(this build reads version {CHECKPOINT_VERSION})")
-    (count,) = struct.unpack_from("<Q", body, off); off += 8
     tensors = {}
     try:
+        (count,) = struct.unpack_from("<Q", body, off); off += 8
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", body, off); off += 4
             name = body[off:off + name_len].decode("utf-8"); off += name_len
             (rank,) = struct.unpack_from("<I", body, off); off += 4
             dims = struct.unpack_from(f"<{rank}Q", body, off); off += 8 * rank
-            n = int(np.prod(dims)) if rank else 1
+            n = math.prod(dims)
             arr = np.frombuffer(body, dtype="<f8", count=n, offset=off).reshape(dims)
             off += 8 * n
             tensors[name] = arr.copy()
@@ -306,7 +315,7 @@ def _unpack_tensors(blob: bytes) -> dict:
 
 def save_checkpoint(ckpt: Checkpoint, path):
     tensors = {}
-    for k, v in ckpt.model_config.to_dict().items():
+    for k, v in asdict(ckpt.model_config).items():
         tensors[f"config/{k}"] = np.float64(v)
     for k, a in ckpt.params.arrays().items():
         tensors[f"param/{k}"] = a
@@ -359,10 +368,11 @@ def _checkpoint_from_tensors(tensors: dict) -> Checkpoint:
         raise CheckpointError("missing meta/sample_hops")
     mcfg = ModelConfig(**cfg_kwargs)
     params, best = groups["param/"], groups["best/"]
+    if mcfg.layers > len(params):        # a corrupt count; keeps the layout small
+        raise CheckpointError(f"config/layers {mcfg.layers} exceeds the "
+                              f"{len(params)} stored param/ tensors")
     # the layout of init_params, with the stored node count
-    expected = {k: a.shape for k, a in
-                init_params(mcfg, 1, np.random.default_rng(0)).arrays().items()}
-    expected["embed"] = (len(params.get("embed", ())), mcfg.embed_dim)
+    expected = param_shapes(mcfg, len(params.get("embed", ())))
     for prefix, group in groups.items():
         if not group and prefix == "best/":
             continue

@@ -102,7 +102,6 @@ PRIMITIVES = [
     ("matmul", lambda p: ad.sum_(ad.matmul(ad.reshape(p["a"], (4, 5)),
                                            ad.reshape(p["b"], (5, 4))))),
     ("concat", lambda p: ad.sum_(ad.concat([p["a"], p["b"]]))),
-    ("split", lambda p: ad.sum_(ad.split(p["a"], [8, 12])[0])),
     ("gather", lambda p: ad.sum_(ad.gather_rows(p["a"], [3, 3, 0, 7]))),
     ("tile", lambda p: ad.sum_(ad.mul(ad.tile_rows(p["a"], 3),
                                       ad.tile_rows(p["b"], 3)))),

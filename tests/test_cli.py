@@ -1,11 +1,18 @@
 import json
 import csv
+import math
 import struct
+import warnings
 import zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phenorank import cli
 from phenorank.cli import build_parser, main
+from phenorank.kg import load_graph
 from phenorank.training import (CheckpointError, _pack_tensors, _unpack_tensors,
                                 load_checkpoint)
 
@@ -187,6 +194,130 @@ def test_bad_checkpoint_names_file_and_exits_one(workspace, tmp_path, capsys, ki
                  "--out", str(out)]) == 1
     assert str(bad) in capsys.readouterr().err
     assert not out.exists()
+
+
+def _fields(blob: bytes) -> tuple:
+    """Offsets of a checkpoint's header fields, as (offset, size): count,
+    name lengths, ranks and dims; and offsets of its config and meta values."""
+    headers, scalars, off = [(8, 8)], [], 16
+    (count,) = struct.unpack_from("<Q", blob, 8)
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", blob, off)
+        headers.append((off, 4))
+        name = blob[off + 4:off + 4 + name_len]
+        off += 4 + name_len
+        (rank,) = struct.unpack_from("<I", blob, off)
+        headers.append((off, 4))
+        off += 4
+        dims = struct.unpack_from(f"<{rank}Q", blob, off)
+        headers += [(off + 8 * i, 8) for i in range(rank)]
+        off += 8 * rank
+        if name.startswith((b"config/", b"meta/")):
+            scalars.append(off)
+        off += 8 * math.prod(dims)
+    return headers, scalars
+
+
+_ANY = st.integers(0, 2 ** 20)   # taken modulo the number of choices
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("byte"), _ANY, st.integers(0, 255)),
+    st.tuples(st.just("header_byte"), _ANY, st.integers(0, 7), st.integers(0, 255)),
+    st.tuples(st.just("header"), _ANY, st.one_of(
+        st.integers(0, 2 ** 64 - 1), st.sampled_from([0, 2 ** 32 - 1, 2 ** 63, 2 ** 64 - 1]))),
+    st.tuples(st.just("scalar"), _ANY, st.one_of(
+        st.floats(), st.sampled_from([0.0, 0.5, -1.0, 3.0, 2.0 ** 40, 1e300]))),
+    st.tuples(st.just("truncate"), st.one_of(st.integers(0, 64), _ANY)),
+)
+
+
+def _mutated(body: bytes, mutation) -> bytes:
+    """`body` with one mutation applied; fields and sizes wrap around."""
+    kind, *arg = mutation
+    out = bytearray(body)
+    headers, scalars = _fields(body)
+    if kind == "byte":
+        out[arg[0] % len(out)] = arg[1]
+    elif kind == "header_byte":
+        off, size = headers[arg[0] % len(headers)]
+        out[off + arg[1] % size] = arg[2]
+    elif kind == "header":
+        off, size = headers[arg[0] % len(headers)]
+        out[off:off + size] = (arg[1] % 2 ** (8 * size)).to_bytes(size, "little")
+    elif kind == "scalar":
+        off = scalars[arg[0] % len(scalars)]
+        out[off:off + 8] = struct.pack("<d", arg[1])
+    else:
+        del out[arg[0] % len(out):]
+    return bytes(out)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_MUTATIONS)
+def test_crc_valid_mutations_raise_only_checkpoint_error(workspace, mutation):
+    body = (workspace / "run" / "checkpoint.rnck").read_bytes()[:-4]
+    body = _mutated(body, mutation)
+    path = workspace / "mutated.rnck"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(exc).startswith(f"{path}: ")
+
+
+def test_checkpoint_on_another_graph_exits_one(workspace, tmp_path, capsys):
+    (tmp_path / "synth.json").write_text(
+        json.dumps({**SYNTH_CONFIG, "n_background_nodes": 30}), encoding="utf-8")
+    assert main(["synth", "--config", str(tmp_path / "synth.json"),
+                 "--out", str(tmp_path / "data")]) == 0
+    trained = load_graph(workspace / "data" / "nodes.tsv", workspace / "data" / "edges.tsv")
+    other = load_graph(tmp_path / "data" / "nodes.tsv", tmp_path / "data" / "edges.tsv")
+    assert other.node_count != trained.node_count
+    ckpt = workspace / "run" / "checkpoint.rnck"
+    graph = ["--nodes", str(tmp_path / "data" / "nodes.tsv"),
+             "--edges", str(tmp_path / "data" / "edges.tsv")]
+    patients = ["--patients", str(tmp_path / "data" / "test.jsonl")]
+    capsys.readouterr()
+    for argv in (["predict", *graph, "--checkpoint", str(ckpt), *patients,
+                  "--out", str(tmp_path / "p" / "pred.jsonl")],
+                 ["extract", *graph, "--checkpoint", str(ckpt), *patients,
+                  "--out-dir", str(tmp_path / "x")],
+                 ["train", *graph, "--resume", str(ckpt), "--epochs", "3",
+                  "--cohort", str(tmp_path / "data" / "train.jsonl"),
+                  "--out-dir", str(tmp_path / "t")]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert str(ckpt) in err, argv[0]
+        assert f"{trained.node_count} nodes" in err and f"has {other.node_count}" in err
+    assert not any((tmp_path / d).exists() for d in ("p", "x", "t"))
+
+
+@pytest.mark.parametrize("learning_rate", ["1e12", "1e30"])
+def test_diverging_training_exits_one(workspace, tmp_path, capsys, learning_rate):
+    out = tmp_path / "run"
+    assert main(["train", *args_for(workspace),
+                 "--cohort", str(workspace / "data" / "train.jsonl"),
+                 "--config", str(workspace / "train.json"),
+                 "--learning-rate", learning_rate, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: patient ") and " at epoch " in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_failed_write_leaves_no_file(workspace, tmp_path, capsys, monkeypatch):
+    def broken_save(ckpt, path):
+        Path(path).write_bytes(b"RNCK")
+        raise OSError("disk full")
+    monkeypatch.setattr(cli, "save_checkpoint", broken_save)
+    out = tmp_path / "run"
+    assert main(["train", *args_for(workspace),
+                 "--cohort", str(workspace / "data" / "train.jsonl"),
+                 "--config", str(workspace / "train.json"), "--epochs", "1",
+                 "--out-dir", str(out)]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_serving_hops_default_to_the_trained_ones(workspace, tmp_path, capsys):

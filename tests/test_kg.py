@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from phenorank.kg import (GraphFormatError, NodeType, SubgraphExport,
-                          export_dot, load_graph, save_graph)
+from phenorank.kg import GraphFormatError, NodeType, export_dot, load_graph
 from phenorank.synthetic import SynthConfig, generate_dataset
 
 from conftest import random_graph, write_graph
@@ -131,12 +130,14 @@ def test_synthetic_round_trip(tmp_path):
     generate_dataset(cfg, tmp_path / "synth")
     g = load_graph(tmp_path / "synth" / "nodes.tsv", tmp_path / "synth" / "edges.tsv")
     assert g.node_count == 2000
-    save_graph(g, tmp_path / "n2.tsv", tmp_path / "e2.tsv")
-    g2 = load_graph(tmp_path / "n2.tsv", tmp_path / "e2.tsv")
-    assert g.node_keys == g2.node_keys
-    arcs1 = sorted(zip(g.arc_src.tolist(), g.arc_dst.tolist()))
-    arcs2 = sorted(zip(g2.arc_src.tolist(), g2.arc_dst.tolist()))
-    assert arcs1 == arcs2
+    rows = [ln.split("\t") for ln in
+            (tmp_path / "synth" / "edges.tsv").read_text(encoding="utf-8").splitlines()
+            if not ln.startswith("#")]
+    expected = set()
+    for u, _, v in rows:
+        expected |= {(g.key_to_id[u], g.key_to_id[v]), (g.key_to_id[v], g.key_to_id[u])}
+    arcs = list(zip(g.arc_src.tolist(), g.arc_dst.tolist()))
+    assert arcs == sorted(expected)
 
 
 # ------------------------------------------------------------------ DOT export
@@ -155,26 +156,22 @@ def _parse_dot(text):
 
 def test_dot_empty_subgraph(chain_graph, tmp_path):
     out = tmp_path / "empty.dot"
-    export_dot(chain_graph, SubgraphExport(nodes=set(), arcs=set()), out)
+    export_dot(chain_graph, set(), set(), out)
     nodes, edges = _parse_dot(out.read_text(encoding="utf-8"))
     assert nodes == [] and edges == []
 
 
 def test_dot_three_node_subgraph(chain_graph, tmp_path):
     out = tmp_path / "chain.dot"
-    export = SubgraphExport(nodes={0, 1, 2}, arcs=set(range(4)),
-                            node_annotations={2: "0.91"})
-    export_dot(chain_graph, export, out)
+    export_dot(chain_graph, {0, 1, 2}, set(range(4)), out)
     nodes, edges = _parse_dot(out.read_text(encoding="utf-8"))
     assert len(nodes) == 3
     assert len(edges) == 2
-    assert any("0.91" in ln for ln in nodes)
 
 
 def test_dot_rejects_dangling_arc(chain_graph, tmp_path):
-    export = SubgraphExport(nodes={0}, arcs={0})
     with pytest.raises(ValueError, match="endpoint outside"):
-        export_dot(chain_graph, export, tmp_path / "bad.dot")
+        export_dot(chain_graph, {0}, {0}, tmp_path / "bad.dot")
 
 
 def test_dot_parses_for_random_subgraph(tmp_path, rng):
@@ -184,7 +181,7 @@ def test_dot_parses_for_random_subgraph(tmp_path, rng):
     arcs = {a for a in range(g.arc_count)
             if int(g.arc_src[a]) in chosen and int(g.arc_dst[a]) in chosen}
     out = tmp_path / "rand.dot"
-    export_dot(g, SubgraphExport(nodes=chosen, arcs=arcs), out)
+    export_dot(g, chosen, arcs, out)
     node_stmts, edge_stmts = _parse_dot(out.read_text(encoding="utf-8"))
     assert len(node_stmts) == len(chosen)
     assert len(edge_stmts) == len(arcs) // 2

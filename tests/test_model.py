@@ -4,7 +4,8 @@ import pytest
 from phenorank import autodiff as ad
 from phenorank.kg import NodeType, load_graph
 from phenorank.model import (ModelConfig, forward, gat_forward, init_params,
-                             patient_representation, score_edges, score_genes)
+                             param_shapes, patient_representation, score_edges,
+                             score_genes)
 from phenorank.sampling import sample_phenotype_subgraph
 
 from conftest import random_graph, write_graph
@@ -34,6 +35,13 @@ def test_init_different_seeds_differ(small_model_config):
     a2 = np.concatenate([v.reshape(-1) for k, v in sorted(p2.arrays().items())
                          if not k.startswith("edge_mlp/b")])
     assert np.mean(a1 != a2) >= 0.99
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_param_shapes_match_init_params(small_model_config, layers):
+    cfg = ModelConfig(**{**small_model_config.__dict__, "layers": layers})
+    arrays = init_params(cfg, 17, np.random.default_rng(0)).arrays()
+    assert param_shapes(cfg, 17) == {k: a.shape for k, a in arrays.items()}
 
 
 def test_init_shapes(small_model_config):
@@ -80,8 +88,9 @@ def test_init_stacks_the_per_head_draws(small_model_config):
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(hidden_dim=10, heads=4)
-    with pytest.raises(ValueError):
-        ModelConfig(layers=0)
+    for name in ("embed_dim", "hidden_dim", "out_dim", "heads", "layers"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            ModelConfig(**{name: 0})
     with pytest.raises(ValueError):
         ModelConfig(penalty_weight=-0.1)
 

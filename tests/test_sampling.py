@@ -5,7 +5,7 @@ import pytest
 
 from phenorank.kg import load_graph
 from phenorank.sampling import (PatientRecord, SupervisionLabels,
-                                label_supervision_edges, load_cohort, save_cohort,
+                                label_supervision_edges, load_cohort,
                                 sample_phenotype_subgraph)
 
 from conftest import random_graph, write_graph
@@ -261,10 +261,10 @@ def test_supervision_labels_reject_overlap():
 # ------------------------------------------------------------- cohort files
 
 def test_cohort_round_trip(tmp_path):
-    recs = [PatientRecord("a", {"P1", "P2"}, "G1"),
-            PatientRecord("b", {"P3"}, None)]
     path = tmp_path / "cohort.jsonl"
-    save_cohort(recs, path)
+    path.write_text('{"id": "a", "phenotypes": ["P1", "P2"], "causal_gene": "G1"}\n'
+                    '{"id": "b", "phenotypes": ["P3"], "causal_gene": null}\n',
+                    encoding="utf-8")
     back = load_cohort(path)
     assert back[0].patient_id == "a"
     assert back[0].phenotypes == {"P1", "P2"}

@@ -1,12 +1,13 @@
 import json
 import hashlib
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from phenorank.synthetic import (SynthConfig, generate_cohort, generate_dataset,
-                                 generate_kg)
+from phenorank.synthetic import (DRAW_BLOCK_ROWS, SynthConfig, generate_cohort,
+                                 generate_dataset, generate_kg)
 
 
 def disease_of(key):
@@ -24,7 +25,7 @@ def test_config_validation():
 
 def test_config_round_trip():
     cfg = SynthConfig(n_diseases=3, seed=9, additive_noise=True)
-    assert SynthConfig.from_dict(cfg.to_dict()) == cfg
+    assert SynthConfig(**asdict(cfg)) == cfg
 
 
 def test_planted_skeleton_exact():
@@ -53,6 +54,26 @@ def test_no_direct_phenotype_gene_background_edges():
     for a, rel, c in edge_rows:
         if rel == "background":
             assert {type_of[a], type_of[c]} != {"phenotype", "gene"}
+
+
+def test_background_edges_match_one_dense_draw():
+    """Row blocks draw the same pairs as one n x n matrix, in the same order."""
+    cfg = SynthConfig(n_background_nodes=1000, background_edge_prob=0.01, seed=5)
+    node_rows, edge_rows, _ = generate_kg(cfg)
+    n = len(node_rows)
+    assert n > 2 * DRAW_BLOCK_ROWS and n % DRAW_BLOCK_ROWS
+    keys = [r[0] for r in node_rows]
+    types = np.array([r[1] for r in node_rows])
+    draws = np.random.default_rng([cfg.seed, 0x5717]).random((n, n))
+    iu, ju = np.triu_indices(n, k=1)
+    hit = draws[iu, ju] < cfg.background_edge_prob
+    pg = ((types[iu] == "phenotype") & (types[ju] == "gene")) | \
+         ((types[iu] == "gene") & (types[ju] == "phenotype"))
+    assert np.any(hit & pg)
+    planted = {(a, c) for a, rel, c in edge_rows if rel != "background"}
+    expected = [(keys[i], "background", keys[j]) for i, j in zip(iu[hit & ~pg], ju[hit & ~pg])
+                if (keys[i], keys[j]) not in planted and (keys[j], keys[i]) not in planted]
+    assert [r for r in edge_rows if r[1] == "background"] == expected
 
 
 def test_background_edge_count_within_3_sigma():

@@ -51,18 +51,17 @@ def test_adam_zero_gradient_is_noop():
     arrays = {"w": np.array([1.0, -2.0])}
     m = {"w": np.zeros(2)}
     v = {"w": np.zeros(2)}
-    adam_step(arrays, {"w": np.zeros(2)}, m, v, 1, 0.1, TrainConfig())
+    adam_step(arrays, {"w": np.zeros(2)}, m, v, 1, 0.1)
     assert np.array_equal(arrays["w"], [1.0, -2.0])
 
 
 def test_adam_first_step_is_signed_lr():
     # bias-corrected first step moves by ~lr*sign(g) regardless of |g|
-    cfg = TrainConfig()
     for g0 in (0.01, 3.0):
         arrays = {"w": np.array([0.0])}
         m = {"w": np.zeros(1)}
         v = {"w": np.zeros(1)}
-        adam_step(arrays, {"w": np.array([g0])}, m, v, 1, 0.1, cfg)
+        adam_step(arrays, {"w": np.array([g0])}, m, v, 1, 0.1)
         assert arrays["w"][0] == pytest.approx(-0.1, rel=1e-5)
 
 
@@ -70,18 +69,17 @@ def test_adam_missing_grad_treated_as_zero():
     arrays = {"w": np.array([1.0]), "u": np.array([2.0])}
     m = {"w": np.zeros(1), "u": np.zeros(1)}
     v = {"w": np.zeros(1), "u": np.zeros(1)}
-    adam_step(arrays, {"w": np.array([1.0])}, m, v, 1, 0.1, TrainConfig())
+    adam_step(arrays, {"w": np.array([1.0])}, m, v, 1, 0.1)
     assert arrays["u"][0] == 2.0
     assert arrays["w"][0] != 1.0
 
 
 def test_adam_converges_on_quadratic_bowl():
-    cfg = TrainConfig()
     arrays = {"x": np.array([5.0, -3.0])}
     m = {"x": np.zeros(2)}
     v = {"x": np.zeros(2)}
     for t in range(1, 2001):
-        adam_step(arrays, {"x": 2.0 * arrays["x"]}, m, v, t, 0.05, cfg)
+        adam_step(arrays, {"x": 2.0 * arrays["x"]}, m, v, t, 0.05)
     assert np.max(np.abs(arrays["x"])) < 1e-3
 
 
