@@ -20,9 +20,9 @@ __all__ = [
     "Tensor", "Tape", "ShapeError", "tensor",
     "add", "sub", "mul", "div", "matmul", "scale", "shift",
     "concat", "reshape", "tile_rows", "gather_rows",
-    "abs_", "abs_diff", "relu", "leaky_relu", "elu", "sigmoid", "clamp",
+    "abs_", "relu", "leaky_relu", "elu", "sigmoid", "clamp",
     "segment_softmax", "segment_sum", "segment_mean",
-    "softmax", "l2_norm", "row_l2_norm", "sum_", "mean_", "log1p_sum_exp",
+    "row_l2_norm", "sum_", "mean_", "log1p_sum_exp",
     "grad_check",
 ]
 
@@ -228,15 +228,6 @@ def abs_(a) -> Tensor:
     return _record(out, (a,), lambda g: (g * np.sign(a.data),))
 
 
-def abs_diff(a, b) -> Tensor:
-    a, b = tensor(a), tensor(b)
-    d = a.data - b.data
-    out = Tensor(np.abs(d))
-    return _record(out, (a, b),
-                   lambda g: (_unbroadcast(g * np.sign(d), a.shape),
-                              _unbroadcast(-g * np.sign(d), b.shape)))
-
-
 def relu(a) -> Tensor:
     a = tensor(a)
     out = Tensor(np.maximum(a.data, 0.0))
@@ -299,12 +290,6 @@ def segment_softmax(a, segments, n_segments: int) -> Tensor:
                    lambda g: (s * (g - _scatter_add(g * s, seg, n_segments)[seg]),))
 
 
-def softmax(a) -> Tensor:
-    """Softmax over a whole 1-D vector."""
-    a = tensor(a)
-    return segment_softmax(a, np.zeros(a.data.shape[0], dtype=np.int64), 1)
-
-
 def _segment_matrix_check(a: Tensor, seg: np.ndarray):
     if a.data.ndim not in (1, 2) or seg.shape[0] != a.data.shape[0]:
         raise ShapeError(f"segment op: values {a.shape} vs segments {seg.shape}")
@@ -352,19 +337,6 @@ def mean_(a) -> Tensor:
     n = a.data.size
     out = Tensor(a.data.mean())
     return _record(out, (a,), lambda g: (np.full_like(a.data, float(g) / n),))
-
-
-def l2_norm(a) -> Tensor:
-    a = tensor(a)
-    nrm = float(np.sqrt(np.sum(a.data ** 2)))
-    out = Tensor(nrm)
-
-    def vjp(g):
-        if nrm == 0.0:
-            return (np.zeros_like(a.data),)
-        return (float(g) * a.data / nrm,)
-
-    return _record(out, (a,), vjp)
 
 
 def row_l2_norm(a) -> Tensor:

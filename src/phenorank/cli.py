@@ -1,9 +1,11 @@
 """Command-line surface tying the pipeline together.
 
 Subcommands: synth, ingest, train, predict, extract, evaluate, fuse.
-Every command writes a run manifest next to its outputs recording the
-resolved config, input/output content hashes, the seed, and wall-clock
-time. Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
+Every command that writes files (all but ingest) writes a run manifest
+next to its outputs recording the resolved config, input/output content
+hashes, the seed, wall-clock time and the environment that byte-for-byte
+determinism depends on. Exit codes: 0 success, 1 runtime failure, 2
+usage/config error.
 """
 
 from __future__ import annotations
@@ -13,11 +15,14 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .extraction import (ExtractionConfig, PatientGraph, extract_patient_graph,
@@ -25,7 +30,8 @@ from .extraction import (ExtractionConfig, PatientGraph, extract_patient_graph,
                          min_max_normalize)
 from .kg import GraphFormatError, export_dot, load_graph
 from .losses import LossConfig
-from .metrics import MetricReport, Ranking, evaluate_rankings, rank_genes
+from .metrics import (MetricReport, Ranking, evaluate_rankings, inclusion_rate,
+                      rank_genes)
 from .model import ModelConfig, forward
 from .sampling import load_cohort, read_jsonl, sample_phenotype_subgraph
 from .synthetic import SynthConfig, generate_dataset
@@ -42,11 +48,23 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _environment() -> dict:
+    """What the output bytes depend on besides the inputs and the config."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
 def write_manifest(out_dir, command: str, config: dict, inputs: dict,
                    outputs: dict, seed, elapsed: float) -> Path:
     manifest = {
         "command": command,
         "config": config,
+        "environment": _environment(),
         "input_hashes": {str(k): _sha256(v) for k, v in sorted(inputs.items())},
         "output_hashes": {str(k): _sha256(v) for k, v in sorted(outputs.items())},
         "seed": seed,
@@ -88,7 +106,7 @@ def _load_flat_config(path) -> dict:
         return {}
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:           # unreadable, not UTF-8 or not JSON
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(obj, dict):
         raise ConfigError(f"config {path} must be a flat JSON object")
@@ -324,12 +342,12 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("provide --predictions and/or --patient-graphs")
     cohort = load_cohort(args.cohort)
     truths = {r.patient_id: r.causal_gene for r in cohort}
-    ks = [int(k) for k in args.ks.split(",")]
 
-    rankings, ranked_truths = [], []
+    report = MetricReport(hits_at={}, mrr=0.0, n_patients=len(truths))
     if args.predictions:
         preds = {obj["id"]: obj for _, obj in read_jsonl(
             args.predictions, {"id": "id", "ranking": "ids", "scores": "numbers"})}
+        rankings = []
         for pid, truth in truths.items():
             if pid not in preds:
                 raise ConfigError(f"patient {pid} missing from predictions")
@@ -340,27 +358,14 @@ def cmd_evaluate(args) -> int:
                                            truth=truth))
             else:
                 rankings.append(Ranking(order=[], rank_of={}))
-            ranked_truths.append(truth)
-
-    graphs = graph_truths = None
+        report = evaluate_rankings(rankings, list(truths.values()), ks=args.ks)
     if args.patient_graphs:
         pg_map = load_patient_graphs(args.patient_graphs)
-        graphs, graph_truths = [], []
-        for pid, truth in truths.items():
-            if pid not in pg_map:
-                raise ConfigError(f"patient {pid} missing from patient graphs")
-            graphs.append(pg_map[pid][0])
-            graph_truths.append(truth)
-
-    if rankings:
-        report = evaluate_rankings(rankings, ranked_truths, ks=ks)
-        if graphs:
-            from .metrics import inclusion_rate
-            report.inclusion = inclusion_rate(graphs, graph_truths)
-    else:
-        from .metrics import inclusion_rate
-        report = MetricReport(hits_at={}, mrr=0.0, n_patients=len(graphs),
-                              inclusion=inclusion_rate(graphs, graph_truths))
+        missing = [pid for pid in truths if pid not in pg_map]
+        if missing:
+            raise ConfigError(f"patient {missing[0]} missing from patient graphs")
+        report = replace(report, inclusion=inclusion_rate(
+            [pg_map[pid][0] for pid in truths], list(truths.values())))
     print(report.to_table())
     out_path = Path(args.out) if args.out else None
     outputs = {}
@@ -373,7 +378,7 @@ def cmd_evaluate(args) -> int:
             inputs["predictions"] = args.predictions
         if args.patient_graphs:
             inputs["patient_graphs"] = args.patient_graphs
-        write_manifest(out_path.parent, "evaluate", {"ks": ks}, inputs, outputs,
+        write_manifest(out_path.parent, "evaluate", {"ks": args.ks}, inputs, outputs,
                        None, time.monotonic() - t0)
     return 0
 
@@ -398,13 +403,10 @@ def cmd_fuse(args) -> int:
                                  "scores": {g: s for g, s in sorted(fused)}},
                                 sort_keys=True) + "\n")
             if cohort:
-                rankings.append(Ranking(order=[g for g, _ in fused],
-                                        rank_of={g: i + 1 for i, (g, _) in
-                                                 enumerate(fused)}))
+                rankings.append(rank_genes(dict(fused)))
                 truths.append(truth_of.get(pid))
     if cohort:
-        ks = [int(k) for k in args.ks.split(",")]
-        report = evaluate_rankings(rankings, truths, ks=ks)
+        report = evaluate_rankings(rankings, truths, ks=args.ks)
         print(report.to_table())
     inputs = {"external": args.external, "patient_graphs": args.patient_graphs}
     write_manifest(out_path.parent, "fuse", {"delta": args.delta}, inputs,
@@ -413,6 +415,17 @@ def cmd_fuse(args) -> int:
 
 
 # ------------------------------------------------------------------ parser
+
+def _ks(text: str) -> list:
+    """The `--ks` value: comma-separated cutoffs, each >= 1."""
+    try:
+        ks = [int(k) for k in text.split(",")]
+        if min(ks) >= 1:
+            return ks
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 1, got {text!r}")
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -479,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions")
     p.add_argument("--patient-graphs")
     p.add_argument("--cohort", required=True)
-    p.add_argument("--ks", default="1,5,10")
+    p.add_argument("--ks", type=_ks, default="1,5,10")
     p.add_argument("--out", help="write a JSON metric report here")
     p.add_argument("--worst-case-ties", action="store_true")
     p.set_defaults(fn=cmd_evaluate)
@@ -491,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--cohort", help="truth cohort for metrics")
-    p.add_argument("--ks", default="1,5,10")
+    p.add_argument("--ks", type=_ks, default="1,5,10")
     p.set_defaults(fn=cmd_fuse)
     return ap
 

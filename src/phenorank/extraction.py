@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_fields
 from .model import ScoreBundle
 from .sampling import SampledSubgraph, _arcs_leaving, read_jsonl
 
@@ -33,10 +34,8 @@ class ExtractionConfig:
     gene_threshold: float = 0.5      # tau_gene
 
     def __post_init__(self):
-        if self.hops < 1 or self.top_k_edges < 1 or self.top_k_genes < 1:
-            raise ValueError("hops and top-k limits must be >= 1")
-        if not 0 < self.edge_percentile < 100:
-            raise ValueError("edge_percentile must lie in (0, 100)")
+        check_fields(self, hops=">= 1", top_k_edges=">= 1", top_k_genes=">= 1",
+                     edge_percentile="(0, 100)")
 
 
 @dataclass
@@ -45,12 +44,11 @@ class PatientGraph:
     frontier_by_hop: list            # [F0..Fm] as sets of global IDs
     selected_genes: set              # genes admitted on the final hop
 
-    def to_json_obj(self, patient_id, id_to_key=None) -> dict:
-        key = (lambda i: id_to_key[i]) if id_to_key is not None else (lambda i: i)
+    def to_json_obj(self, patient_id, id_to_key) -> dict:
         return {
             "id": patient_id,
-            "nodes": [key(v) for v in sorted(self.nodes)],
-            "genes": [key(v) for v in sorted(self.selected_genes)],
+            "nodes": [id_to_key[v] for v in sorted(self.nodes)],
+            "genes": [id_to_key[v] for v in sorted(self.selected_genes)],
         }
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["NodeType", "KnowledgeGraph", "GraphFormatError", "load_graph",
-           "export_dot"]
+           "export_dot", "text_lines"]
 
 
 class GraphFormatError(ValueError):
@@ -55,7 +55,7 @@ class KnowledgeGraph:
     adj_offsets: np.ndarray         # node_count + 1 CSR offsets into arcs
     key_to_id: dict = field(repr=False, default_factory=dict)
 
-    _TYPE_ORDER = (NodeType.PHENOTYPE, NodeType.GENE, NodeType.DISEASE, NodeType.OTHER)
+    _TYPE_ORDER = tuple(NodeType)
 
     @property
     def arc_count(self) -> int:
@@ -73,6 +73,26 @@ class KnowledgeGraph:
             raise IndexError(f"node id {v} out of range [0, {self.node_count})")
         lo, hi = self.adj_offsets[v], self.adj_offsets[v + 1]
         return [(int(a), int(self.arc_dst[a])) for a in range(lo, hi)]
+
+
+def text_lines(path, error=ValueError):
+    """Yield (line number, line) for each line of UTF-8 text file `path`.
+
+    A byte sequence that is not UTF-8 raises `error` naming `path:line`.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        # the stream decodes in blocks; decode the whole file to find the line
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise error(f"{path}:{line}: not UTF-8 text: {exc.reason} "
+                        f"(byte 0x{data[exc.start]:02x})") from None
+        raise
 
 
 def _parse_type(token: str, lineno: int, path) -> NodeType:
@@ -94,43 +114,41 @@ def load_graph(node_file, edge_file) -> KnowledgeGraph:
     node_file, edge_file = Path(node_file), Path(edge_file)
     node_keys, node_names, types = [], [], []
     key_to_id: dict = {}
-    with open(node_file, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise GraphFormatError(
-                    f"{node_file}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            key, type_tok, name = parts
-            if key in key_to_id:
-                raise GraphFormatError(f"{node_file}:{lineno}: duplicate node id {key!r}")
-            key_to_id[key] = len(node_keys)
-            node_keys.append(key)
-            node_names.append(name)
-            types.append(KnowledgeGraph._TYPE_ORDER.index(_parse_type(type_tok, lineno, node_file)))
+    for lineno, line in text_lines(node_file, GraphFormatError):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise GraphFormatError(
+                f"{node_file}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        key, type_tok, name = parts
+        if key in key_to_id:
+            raise GraphFormatError(f"{node_file}:{lineno}: duplicate node id {key!r}")
+        key_to_id[key] = len(node_keys)
+        node_keys.append(key)
+        node_names.append(name)
+        types.append(KnowledgeGraph._TYPE_ORDER.index(_parse_type(type_tok, lineno, node_file)))
 
     n = len(node_keys)
     edge_map: dict = {}  # {min, max} -> relation, first occurrence wins
-    with open(edge_file, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
+    for lineno, line in text_lines(edge_file, GraphFormatError):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise GraphFormatError(
+                f"{edge_file}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        src_key, relation, dst_key = parts
+        for k in (src_key, dst_key):
+            if k not in key_to_id:
                 raise GraphFormatError(
-                    f"{edge_file}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            src_key, relation, dst_key = parts
-            for k in (src_key, dst_key):
-                if k not in key_to_id:
-                    raise GraphFormatError(
-                        f"{edge_file}:{lineno}: edge references undeclared node {k!r}")
-            u, v = key_to_id[src_key], key_to_id[dst_key]
-            if u == v:
-                raise GraphFormatError(f"{edge_file}:{lineno}: self-edge on node {src_key!r}")
-            edge_map.setdefault((min(u, v), max(u, v)), relation)
+                    f"{edge_file}:{lineno}: edge references undeclared node {k!r}")
+        u, v = key_to_id[src_key], key_to_id[dst_key]
+        if u == v:
+            raise GraphFormatError(f"{edge_file}:{lineno}: self-edge on node {src_key!r}")
+        edge_map.setdefault((min(u, v), max(u, v)), relation)
 
     src, dst, rel = [], [], []
     for (u, v), relation in edge_map.items():
@@ -142,9 +160,6 @@ def load_graph(node_file, edge_file) -> KnowledgeGraph:
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
     rel = [rel[i] for i in order]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, src + 1, 1)
-    offsets = np.cumsum(offsets)
     return KnowledgeGraph(
         node_count=n,
         node_types=np.asarray(types, dtype=np.int8),
@@ -153,7 +168,7 @@ def load_graph(node_file, edge_file) -> KnowledgeGraph:
         arc_src=src,
         arc_dst=dst,
         arc_relation=rel,
-        adj_offsets=offsets,
+        adj_offsets=np.searchsorted(src, np.arange(n + 1)),
         key_to_id=key_to_id,
     )
 

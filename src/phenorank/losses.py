@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import check_fields
 from .sampling import SupervisionLabels
 
 __all__ = ["LossConfig", "LossReport", "subgraph_loss", "gene_loss", "total_loss"]
@@ -36,12 +37,10 @@ class LossConfig:
     negative_ratio: int = 5         # negatives per positive when labeling
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be > 0")
-        if self.gene_alpha <= 0 or self.gene_beta <= 0:
-            raise ValueError("gene_alpha and gene_beta must be > 0")
-        if not 0 < self.sparsity_threshold < 1:
-            raise ValueError("sparsity_threshold must lie in (0, 1)")
+        check_fields(self, margin="> 0", l1_weight=">= 0", l2_weight=">= 0",
+                     sparsity_weight=">= 0", sparsity_threshold="(0, 1)",
+                     gene_alpha="> 0", gene_beta="> 0", gene_weight=">= 0",
+                     negative_ratio=">= 1")
 
 
 @dataclass
@@ -69,15 +68,14 @@ def subgraph_loss(edge_scores: Tensor, labels: SupervisionLabels,
         raise FloatingPointError("non-finite edge scores")
     if edge_scores.data.size == 0:
         return ad.tensor(0.0), True
-    pos = sorted(labels.positive_arcs)
-    neg = sorted(labels.negative_arcs)
-    degenerate = not pos or not neg
+    pos, neg = labels.positive_arcs, labels.negative_arcs
+    degenerate = pos.size == 0 or neg.size == 0
     if degenerate:
         loss = ad.tensor(0.0)
     else:
-        e_pos = ad.gather_rows(edge_scores, np.asarray(pos))
-        e_neg = ad.gather_rows(edge_scores, np.asarray(neg))
-        diff = ad.sub(ad.reshape(e_pos, (len(pos), 1)), ad.reshape(e_neg, (1, len(neg))))
+        e_pos = ad.gather_rows(edge_scores, pos)
+        e_neg = ad.gather_rows(edge_scores, neg)
+        diff = ad.sub(ad.reshape(e_pos, (pos.size, 1)), ad.reshape(e_neg, (1, neg.size)))
         loss = ad.mean_(ad.relu(ad.shift(ad.scale(diff, -1.0), cfg.margin)))
     loss = ad.add(loss, ad.scale(ad.sum_(ad.abs_(edge_scores)), cfg.l1_weight))
     loss = ad.add(loss, ad.scale(ad.sum_(ad.mul(edge_scores, edge_scores)), cfg.l2_weight))

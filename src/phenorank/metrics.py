@@ -62,15 +62,14 @@ def mrr(rankings, truths) -> float:
     return 100.0 * total / len(rankings)
 
 
-def inclusion_rate(patient_graphs, truths) -> float:
+def inclusion_rate(node_sets, truths) -> float:
     """Percent of patients whose true gene is inside the extracted node set."""
-    if len(patient_graphs) != len(truths):
+    if len(node_sets) != len(truths):
         raise ValueError("patient graphs and truths must align")
-    if not patient_graphs:
+    if not node_sets:
         return 0.0
-    nodes = [pg.nodes if hasattr(pg, "nodes") else set(pg) for pg in patient_graphs]
-    included = sum(1 for ns, t in zip(nodes, truths) if t in ns)
-    return 100.0 * included / len(patient_graphs)
+    included = sum(1 for ns, t in zip(node_sets, truths) if t in ns)
+    return 100.0 * included / len(node_sets)
 
 
 @dataclass
@@ -108,12 +107,9 @@ class MetricReport:
         return "\n".join(f"{name:<{width}}  {val}" for name, val in rows)
 
 
-def evaluate_rankings(rankings, truths, ks=(1, 5, 10),
-                      patient_graphs=None) -> MetricReport:
+def evaluate_rankings(rankings, truths, ks=(1, 5, 10)) -> MetricReport:
     return MetricReport(
         hits_at={k: hits_at_k(rankings, truths, k) for k in ks},
         mrr=mrr(rankings, truths),
         n_patients=len(truths),
-        inclusion=None if patient_graphs is None
-        else inclusion_rate(patient_graphs, truths),
     )

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import check_fields
 from .sampling import SampledSubgraph
 
 __all__ = ["ModelConfig", "ModelParams", "ScoreBundle", "init_params",
@@ -45,13 +46,11 @@ class ModelConfig:
     leaky_slope: float = 0.2
 
     def __post_init__(self):
-        for name in ("embed_dim", "hidden_dim", "out_dim", "heads", "layers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_fields(self, embed_dim=">= 1", hidden_dim=">= 1", out_dim=">= 1",
+                     heads=">= 1", layers=">= 1", attn_proj_dim=">= 1",
+                     penalty_weight=">= 0")
         if self.hidden_dim % self.heads:
             raise ValueError("hidden_dim must be divisible by heads")
-        if self.penalty_weight < 0:
-            raise ValueError("penalty_weight must be >= 0")
 
     @property
     def head_dim(self) -> int:
@@ -197,7 +196,7 @@ def patient_representation(node_embeddings_final: Tensor, phenotype_locals,
     hp = ad.gather_rows(node_embeddings_final, phenotype_locals)
     logits = ad.scale(ad.reshape(ad.matmul(hp, ad.reshape(q, (d, 1))), (-1,)),
                       1.0 / math.sqrt(d))
-    w = ad.softmax(logits)
+    w = ad.segment_softmax(logits, np.zeros(phenotype_locals.size, dtype=np.int64), 1)
     return ad.reshape(ad.matmul(ad.reshape(w, (1, -1)), hp), (-1,))
 
 
@@ -210,7 +209,7 @@ def score_edges(node_embeddings_final: Tensor, attention_records: Tensor,
     p_rows = ad.tile_rows(p, sg.n_arcs)
     h_s = ad.gather_rows(node_embeddings_final, sg.local_src)
     h_t = ad.gather_rows(node_embeddings_final, sg.local_dst)
-    x = ad.concat([proj, p_rows, ad.abs_diff(h_s, h_t), ad.mul(h_s, h_t)], axis=1)
+    x = ad.concat([proj, p_rows, ad.abs_(ad.sub(h_s, h_t)), ad.mul(h_s, h_t)], axis=1)
     hidden = ad.relu(ad.add(ad.matmul(x, params["edge_mlp/W1"]), params["edge_mlp/b1"]))
     out = ad.add(ad.matmul(hidden, params["edge_mlp/W2"]), params["edge_mlp/b2"])
     return ad.reshape(out, (-1,))
@@ -237,7 +236,8 @@ def score_genes(p: Tensor, node_embeddings_final: Tensor, edge_scores_raw: Tenso
     d = p.data.shape[0]
     h_g = ad.gather_rows(node_embeddings_final, gene_locals)
     dots = ad.reshape(ad.matmul(h_g, ad.reshape(p, (d, 1))), (-1,))
-    cos = ad.div(dots, ad.mul(ad.row_l2_norm(h_g), ad.l2_norm(p)))
+    p_norm = ad.row_l2_norm(ad.reshape(p, (1, d)))      # shape (1,), broadcasts
+    cos = ad.div(dots, ad.mul(ad.row_l2_norm(h_g), p_norm))
     return ad.sub(cos, penalty)
 
 

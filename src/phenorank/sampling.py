@@ -10,11 +10,11 @@ negatives from the remaining arcs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kg import KnowledgeGraph, NodeType
+from .kg import KnowledgeGraph, NodeType, text_lines
 
 __all__ = ["PatientRecord", "SampledSubgraph", "SupervisionLabels",
            "sample_phenotype_subgraph", "label_supervision_edges",
@@ -48,7 +48,6 @@ class SampledSubgraph:
     global_arc_id: np.ndarray
     phenotype_locals: np.ndarray
     gene_locals: np.ndarray              # Gene-typed locals, ascending
-    global_to_local: dict = field(repr=False, default_factory=dict)
 
     @property
     def n_nodes(self) -> int:
@@ -66,13 +65,17 @@ class SampledSubgraph:
 
 @dataclass
 class SupervisionLabels:
-    positive_arcs: set                   # local arc indices
-    negative_arcs: set
-    degenerate: bool = False             # no positives (or gene not sampled)
+    positive_arcs: np.ndarray            # local arc indices, ascending int64
+    negative_arcs: np.ndarray
 
     def __post_init__(self):
-        if self.positive_arcs & self.negative_arcs:
+        if np.intersect1d(self.positive_arcs, self.negative_arcs).size:
             raise ValueError("positive and negative arc sets overlap")
+
+    @property
+    def degenerate(self) -> bool:
+        """No positives: no causal gene, or it is not in the subgraph."""
+        return self.positive_arcs.size == 0
 
 
 def _arcs_leaving(offsets: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -130,11 +133,10 @@ def sample_phenotype_subgraph(g: KnowledgeGraph, phenotypes, m: int) -> SampledS
         global_arc_id=arc_ids,
         phenotype_locals=to_local[valid],
         gene_locals=np.flatnonzero(g.node_types[local_nodes] == gene_code),
-        global_to_local={int(v): i for i, v in enumerate(local_nodes)},
     )
 
 
-def label_supervision_edges(sg: SampledSubgraph, causal_gene: int, k: int,
+def label_supervision_edges(sg: SampledSubgraph, causal_gene: int | None, k: int,
                             rng: np.random.Generator) -> SupervisionLabels:
     """Shortest-path positives and uniform negatives for one patient.
 
@@ -142,12 +144,14 @@ def label_supervision_edges(sg: SampledSubgraph, causal_gene: int, k: int,
     causal gene, computed in the sampled subgraph; an arc (u, v) lies on a
     shortest path from p iff dist(p, u) + 1 + dist(v, gene) equals
     dist(p, gene). Negatives are drawn without replacement from the
-    remaining arcs, min(k * |positives|, available).
+    remaining arcs, min(k * |positives|, available). Without a causal gene
+    in the subgraph the labels are empty and `rng` draws nothing.
     """
-    g2l = sg.global_to_local
-    if int(causal_gene) not in g2l:
-        return SupervisionLabels(set(), set(), degenerate=True)
-    gene_local = g2l[int(causal_gene)]
+    none = np.zeros(0, dtype=np.int64)
+    gene_local = sg.n_nodes if causal_gene is None \
+        else int(np.searchsorted(sg.local_nodes, causal_gene))
+    if gene_local == sg.n_nodes or sg.local_nodes[gene_local] != causal_gene:
+        return SupervisionLabels(none, none)
     offsets, src, dst = sg.arc_offsets, sg.local_src, sg.local_dst
     to_gene = _bfs(offsets, dst, [gene_local])[dst]        # per arc: dist(v, gene)
     on_path = np.zeros(sg.n_arcs, dtype=bool)
@@ -157,13 +161,9 @@ def label_supervision_edges(sg: SampledSubgraph, causal_gene: int, k: int,
         if d >= 0:
             from_ph = dist[src]                                 # per arc: dist(p, u)
             on_path |= (from_ph >= 0) & (to_gene >= 0) & (from_ph + 1 + to_gene == d)
-    positives = set(np.flatnonzero(on_path).tolist())
-    if not positives:
-        return SupervisionLabels(set(), set(), degenerate=True)
-    remainder = np.flatnonzero(~on_path)
-    n_neg = min(k * len(positives), len(remainder))
-    negatives = set(int(x) for x in rng.choice(remainder, size=n_neg, replace=False)) \
-        if n_neg else set()
+    positives, remainder = np.flatnonzero(on_path), np.flatnonzero(~on_path)
+    n_neg = min(k * positives.size, remainder.size)
+    negatives = np.sort(rng.choice(remainder, size=n_neg, replace=False)) if n_neg else none
     return SupervisionLabels(positives, negatives)
 
 
@@ -186,26 +186,25 @@ def read_jsonl(path, fields: dict):
 
     `fields` maps each required key to its kind: "id" (a string or an
     integer), "ids" (a list of them) or "numbers" (an object of numbers).
-    A line with invalid JSON, or without a required key of its kind,
-    raises ValueError naming `path:line`.
+    A line that is not UTF-8 or not JSON, or lacks a required key of its
+    kind, raises ValueError naming `path:line`.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{where}: expected a JSON object")
-            for key, kind in fields.items():
-                what, fits = _KINDS[kind]
-                if not fits(obj.get(key)):
-                    raise ValueError(f"{where}: \"{key}\" must be {what}")
-            yield where, obj
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where}: expected a JSON object")
+        for key, kind in fields.items():
+            what, fits = _KINDS[kind]
+            if not fits(obj.get(key)):
+                raise ValueError(f"{where}: \"{key}\" must be {what}")
+        yield where, obj
 
 
 def load_cohort(path, key_to_id: dict | None = None) -> list[PatientRecord]:

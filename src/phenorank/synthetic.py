@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_fields
+
 __all__ = ["SynthConfig", "generate_kg", "generate_cohort", "generate_dataset"]
 
 # Rows of the background draw matrix held in memory at once. Blocks of rows
@@ -41,14 +43,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in ("n_diseases", "genes_per_disease", "phenos_per_disease",
-                  "phenotypes_per_patient", "n_patients"):
-            if getattr(self, f) <= 0:
-                raise ValueError(f"{f} must be positive")
-        if not 0.0 <= self.phenotype_noise_rate <= 1.0:
-            raise ValueError("phenotype_noise_rate must lie in [0, 1]")
-        if not 0.0 <= self.background_edge_prob <= 1.0:
-            raise ValueError("background_edge_prob must lie in [0, 1]")
+        check_fields(self, n_diseases=">= 1", genes_per_disease=">= 1",
+                     phenos_per_disease=">= 1", n_background_nodes=">= 0",
+                     background_edge_prob="[0, 1]", phenotype_noise_rate="[0, 1]",
+                     phenotypes_per_patient=">= 1", n_patients=">= 1",
+                     test_fraction="[0, 1)", seed=">= 0")
         if self.split_mode not in ("mixed", "disjoint_genes"):
             raise ValueError(f"unknown split_mode {self.split_mode!r}")
 

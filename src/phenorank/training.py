@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .config import check_fields
 from .kg import KnowledgeGraph
 from .losses import LossConfig, LossReport, gene_loss, subgraph_loss, total_loss
 from .model import ModelConfig, ModelParams, forward, init_params, param_shapes
-from .sampling import (SupervisionLabels, label_supervision_edges,
-                       sample_phenotype_subgraph)
+from .sampling import label_supervision_edges, sample_phenotype_subgraph
 
 __all__ = ["TrainConfig", "Checkpoint", "TrainingError", "CheckpointError",
            "train", "adam_step", "clip_gradients",
@@ -56,10 +56,10 @@ class TrainConfig:
     val_fraction: float = 0.1       # held out for best-MRR checkpoint selection
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        # a factor above 1 would grow the rate until it overflows
+        check_fields(self, learning_rate="> 0", lr_step=">= 1", lr_factor="(0, 1]",
+                     epochs=">= 1", seed=">= 0", sample_hops=">= 1",
+                     val_fraction="[0, 1)")
 
     def lr_at(self, epoch: int) -> float:
         return self.learning_rate * self.lr_factor ** (epoch // self.lr_step)
@@ -126,11 +126,8 @@ def _patient_loss(params, mcfg, lcfg, sg, labels, causal_gene):
     bundle = forward(params, mcfg, sg)
     loss_sub, degenerate = subgraph_loss(bundle.edge_scores, labels, lcfg)
     if sg.gene_locals.size:
-        true_local = None
-        if causal_gene is not None and causal_gene in sg.global_to_local:
-            gl = sg.global_to_local[causal_gene]
-            pos = np.flatnonzero(sg.gene_locals == gl)
-            true_local = int(pos[0]) if pos.size else None
+        pos = np.flatnonzero(sg.local_nodes[sg.gene_locals] == causal_gene)
+        true_local = int(pos[0]) if pos.size else None
         loss_g, hn = gene_loss(bundle.gene_scores, true_local, lcfg)
     else:
         loss_g, hn = ad.tensor(0.0), 0
@@ -170,17 +167,18 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
     rng = np.random.default_rng([tcfg.seed, 0x5EED])
     n_val = int(round(tcfg.val_fraction * len(cohort)))
     perm = rng.permutation(len(cohort))
-    val_idx = set(int(i) for i in perm[:n_val]) if n_val else set()
-    train_idx = [i for i in range(len(cohort)) if i not in val_idx]
-    if not train_idx:
+    val_idx, train_idx = np.sort(perm[:n_val]), np.sort(perm[n_val:])
+    if not train_idx.size:
         raise ValueError("validation split leaves no training patients")
 
-    subgraphs = {}
-    for i, rec in enumerate(cohort):
+    subgraphs = []
+    for rec in cohort:
         sg = sample_phenotype_subgraph(g, rec.phenotypes, tcfg.sample_hops)
         if sg.n_nodes == 0:
             raise ValueError(f"patient {rec.patient_id}: empty subgraph")
-        subgraphs[i] = sg
+        subgraphs.append(sg)
+    val_cohort = [cohort[i] for i in val_idx]
+    val_subgraphs = [subgraphs[i] for i in val_idx]
 
     if resume is not None:
         params = resume.params
@@ -208,15 +206,10 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
         sub_sum = gene_sum = tot_sum = 0.0
         hn_sum = 0
         for j in order:
-            i = train_idx[int(j)]
-            rec = cohort[i]
-            sg = subgraphs[i]
-            labels_rng = np.random.default_rng([tcfg.seed ^ i, epoch])
-            if rec.causal_gene is not None:
-                labels = label_supervision_edges(sg, rec.causal_gene,
-                                                 lcfg.negative_ratio, labels_rng)
-            else:
-                labels = SupervisionLabels(set(), set(), degenerate=True)
+            i = int(train_idx[j])
+            rec, sg = cohort[i], subgraphs[i]
+            labels = label_supervision_edges(sg, rec.causal_gene, lcfg.negative_ratio,
+                                             np.random.default_rng([tcfg.seed ^ i, epoch]))
             with _finite(f"patient {rec.patient_id} at epoch {epoch}"):
                 with ad.Tape() as tape:
                     loss_t, report = _patient_loss(params, mcfg, lcfg, sg, labels,
@@ -233,11 +226,9 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
         reports.append(epoch_report)
 
         val_mrr = None
-        if val_idx:
+        if val_cohort:
             with _finite(f"validation at epoch {epoch}"):
-                val_mrr = _validation_mrr(params, mcfg,
-                                          [cohort[i] for i in sorted(val_idx)],
-                                          [subgraphs[i] for i in sorted(val_idx)])
+                val_mrr = _validation_mrr(params, mcfg, val_cohort, val_subgraphs)
             if val_mrr > best_val_mrr:
                 best_val_mrr = val_mrr
                 best_params = params.copy()

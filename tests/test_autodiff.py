@@ -54,7 +54,7 @@ def test_segment_softmax_empty_segment_errors():
 
 def test_abs_diff_of_identical_is_zero(rng):
     x = Tensor(rng.standard_normal(7))
-    assert np.array_equal(ad.abs_diff(x, x).data, np.zeros(7))
+    assert np.array_equal(ad.abs_(ad.sub(x, x)).data, np.zeros(7))
 
 
 def test_product_gradient():
@@ -70,7 +70,7 @@ def test_l2_norm_gradient_is_unit_direction(rng):
     v = rng.standard_normal(5)
     x = leaf(v)
     with Tape() as tape:
-        n = ad.l2_norm(x)
+        n = ad.sum_(ad.row_l2_norm(ad.reshape(x, (1, 5))))
     grads = tape.backward(n)
     assert np.allclose(grads["x"], v / np.linalg.norm(v), atol=1e-12)
 
@@ -106,20 +106,17 @@ PRIMITIVES = [
     ("tile", lambda p: ad.sum_(ad.mul(ad.tile_rows(p["a"], 3),
                                       ad.tile_rows(p["b"], 3)))),
     ("abs", lambda p: ad.sum_(ad.abs_(p["a"]))),
-    ("abs_diff", lambda p: ad.sum_(ad.abs_diff(p["a"], p["b"]))),
     ("relu", lambda p: ad.sum_(ad.relu(p["a"]))),
     ("leaky_relu", lambda p: ad.sum_(ad.leaky_relu(p["a"], 0.2))),
     ("elu", lambda p: ad.sum_(ad.elu(p["a"]))),
     ("sigmoid", lambda p: ad.sum_(ad.sigmoid(p["a"]))),
     ("clamp", lambda p: ad.sum_(ad.clamp(p["a"], -0.4, 0.4))),
-    ("softmax", lambda p: ad.sum_(ad.mul(ad.softmax(p["a"]), p["b"]))),
     ("segment_softmax", lambda p: ad.sum_(ad.mul(
         ad.segment_softmax(p["a"], [0, 0, 1, 1, 1, 2, 2, 0, 1, 2] * 2, 3), p["b"]))),
     ("segment_sum", lambda p: ad.sum_(ad.mul(
         ad.segment_sum(p["a"], [0, 1, 2, 0] * 5, 3), ad.tensor([1.0, -2.0, 0.5])))),
     ("segment_mean", lambda p: ad.sum_(ad.mul(
         ad.segment_mean(p["a"], [0, 1, 2, 0] * 5, 3), ad.tensor([1.0, -2.0, 0.5])))),
-    ("l2_norm", lambda p: ad.l2_norm(p["a"])),
     ("row_l2_norm", lambda p: ad.sum_(ad.row_l2_norm(ad.reshape(p["a"], (4, 5))))),
     ("sum_axis", lambda p: ad.sum_(ad.mul(
         ad.sum_(ad.reshape(ad.mul(p["a"], p["b"]), (2, 5, 2)), axis=1),

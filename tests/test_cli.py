@@ -548,3 +548,93 @@ def test_parser_lists_all_subcommands():
     for cmd in ("synth", "ingest", "train", "predict", "extract",
                 "evaluate", "fuse"):
         assert cmd in text
+
+
+@pytest.mark.parametrize("command, config_text, extra, key", [
+    ("train", '{"lr_step": 0}', [], "lr_step"),
+    ("train", '{"negative_ratio": -1}', [], "negative_ratio"),
+    ("train", '{"penalty_weight": 1e400}', [], "penalty_weight"),
+    ("train", '{"lr_factor": -1, "lr_step": 1}', [], "lr_factor"),
+    ("train", '{}', ["--val-fraction", "-1"], "val_fraction"),
+    ("synth", '{"n_background_nodes": -1}', [], "n_background_nodes"),
+    ("synth", '{"test_fraction": 2.0}', [], "test_fraction"),
+])
+def test_out_of_range_config_exits_two_naming_the_key(workspace, tmp_path, capsys,
+                                                       command, config_text, extra, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config_text, encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", *args_for(workspace), "--cohort",
+                str(workspace / "data" / "train.jsonl"), "--out-dir", str(out)]
+    else:
+        argv = ["synth", "--out", str(out)]
+    assert main([*argv, "--config", str(cfg), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, line", [("nodes.tsv", 3), ("edges.tsv", 2),
+                                        ("train.jsonl", 2)])
+def test_undecodable_byte_names_path_and_line(workspace, tmp_path, capsys, name, line):
+    data = tmp_path / "data"
+    data.mkdir()
+    for f in ("nodes.tsv", "edges.tsv", "train.jsonl"):
+        lines = (workspace / "data" / f).read_bytes().splitlines(keepends=True)
+        if f == name:
+            lines[line - 1] = lines[line - 1][:2] + b"\xff" + lines[line - 1][2:]
+        (data / f).write_bytes(b"".join(lines))
+    assert main(["ingest", "--nodes", str(data / "nodes.tsv"),
+                 "--edges", str(data / "edges.tsv"),
+                 "--cohort", str(data / "train.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data / name}:{line}: ") and "0xff" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--ks", "a"],
+    ["evaluate", "--ks", "1,0"],
+    ["fuse", "--ks", "1,x", "--delta", "0.1"],
+])
+def test_bad_ks_is_a_usage_error_before_any_work(tmp_path, capsys, argv):
+    ext, pgs = fuse_inputs(tmp_path, ["a"])
+    cohort = tmp_path / "cohort.jsonl"
+    cohort.write_text('{"id": "a", "phenotypes": ["P1"], "causal_gene": "GB"}\n',
+                      encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    inputs = ["--cohort", str(cohort), "--out", str(out)]
+    if argv[0] == "fuse":
+        inputs += ["--external", str(ext), "--patient-graphs", str(pgs)]
+    else:
+        inputs += ["--patient-graphs", str(pgs)]
+    assert main(argv + inputs) == 2
+    assert "--ks" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_predictions_on_an_empty_cohort(tmp_path, capsys):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(GOOD_LINES["predictions"] + "\n", encoding="utf-8")
+    cohort = tmp_path / "cohort.jsonl"
+    cohort.write_text("", encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--predictions", str(pred), "--cohort", str(cohort),
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["n_patients"] == 0 and report["mrr"] == 0.0
+    capsys.readouterr()
+
+
+def test_manifest_records_the_environment(workspace):
+    import os
+    import platform
+
+    import numpy as np
+    env = json.loads((workspace / "run" / "train_manifest.json").read_text())["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == f"{blas['name']} {blas['version']}"
+    assert env["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")

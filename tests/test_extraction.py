@@ -264,9 +264,10 @@ def test_patient_graph_files_round_trip(tmp_path):
     pg = PatientGraph(nodes={4, 2, 9}, frontier_by_hop=[], selected_genes={9})
     path = tmp_path / "graphs.jsonl"
     import json
-    path.write_text(json.dumps(pg.to_json_obj("pat1")) + "\n", encoding="utf-8")
+    keys = {v: f"N{v}" for v in (2, 4, 9)}
+    path.write_text(json.dumps(pg.to_json_obj("pat1", keys)) + "\n", encoding="utf-8")
     back = load_patient_graphs(path)
-    assert back["pat1"] == ({2, 4, 9}, {9})
+    assert back["pat1"] == ({"N2", "N4", "N9"}, {"N9"})
 
 
 def test_external_scores_loader(tmp_path):

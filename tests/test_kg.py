@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phenorank.kg import GraphFormatError, NodeType, export_dot, load_graph
+from phenorank.kg import GraphFormatError, NodeType, export_dot, load_graph, text_lines
 from phenorank.synthetic import SynthConfig, generate_dataset
 
 from conftest import random_graph, write_graph
@@ -58,6 +58,20 @@ def test_malformed_row_reports_line(tmp_path):
     edge_file.write_text("", encoding="utf-8")
     with pytest.raises(GraphFormatError, match=":2:"):
         load_graph(node_file, edge_file)
+
+
+def test_undecodable_byte_far_into_a_file_names_its_line(tmp_path):
+    # the text stream decodes in blocks, well before the bad line is read
+    node_file = tmp_path / "n.tsv"
+    rows = [f"N{i}\tother\tnode {i}\n".encode() for i in range(5000)]
+    rows[4320] = b"N4320\tother\tn\xc3\n"         # a truncated 2-byte sequence
+    node_file.write_bytes(b"".join(rows))
+    edge_file = tmp_path / "e.tsv"
+    edge_file.write_text("", encoding="utf-8")
+    with pytest.raises(GraphFormatError, match=f"{node_file}:4321: .*0xc3"):
+        load_graph(node_file, edge_file)
+    with pytest.raises(ValueError, match=f"{node_file}:4321: "):
+        list(text_lines(node_file))
 
 
 def test_comment_and_blank_lines_skipped(tmp_path):

@@ -10,6 +10,10 @@ from phenorank.losses import LossConfig, LossReport, gene_loss, subgraph_loss, t
 from phenorank.sampling import SupervisionLabels
 
 
+def labels(pos, neg):
+    return SupervisionLabels(np.array(pos, dtype=np.int64), np.array(neg, dtype=np.int64))
+
+
 def sub_oracle(scores, pos, neg, cfg):
     """Double-loop reimplementation of the subgraph loss."""
     acc = 0.0
@@ -58,7 +62,7 @@ def test_subgraph_loss_matches_double_loop_oracle(rng):
     pos = [0, 3, 7]
     neg = [1, 2, 10, 11, 15]
     loss, degenerate = subgraph_loss(ad.tensor(scores),
-                                     SupervisionLabels(set(pos), set(neg)), cfg)
+                                     labels(pos, neg), cfg)
     assert not degenerate
     assert loss.item() == pytest.approx(sub_oracle(scores, pos, neg, cfg), abs=1e-12)
 
@@ -67,45 +71,45 @@ def test_subgraph_loss_empty_labels_regularizers_only(rng):
     cfg = LossConfig()
     scores = rng.standard_normal(10)
     loss, degenerate = subgraph_loss(ad.tensor(scores),
-                                     SupervisionLabels(set(), set()), cfg)
+                                     labels([], []), cfg)
     assert degenerate
     assert loss.item() == pytest.approx(sub_oracle(scores, [], [], cfg), abs=1e-12)
 
 
 def test_subgraph_loss_empty_scores():
     loss, degenerate = subgraph_loss(ad.tensor(np.zeros(0)),
-                                     SupervisionLabels(set(), set()), LossConfig())
+                                     labels([], []), LossConfig())
     assert degenerate and loss.item() == 0.0
 
 
 def test_subgraph_loss_rejects_nonfinite():
     with pytest.raises(FloatingPointError):
         subgraph_loss(ad.tensor(np.array([1.0, np.inf])),
-                      SupervisionLabels({0}, {1}), LossConfig())
+                      labels([0], [1]), LossConfig())
 
 
 def test_margin_term_zero_when_separated():
     # positives exceed negatives by more than the margin -> only regularizers
     cfg = LossConfig(margin=0.5, l1_weight=0.0, l2_weight=0.0, sparsity_weight=0.0)
     scores = np.array([2.0, -2.0])
-    loss, _ = subgraph_loss(ad.tensor(scores), SupervisionLabels({0}, {1}), cfg)
+    loss, _ = subgraph_loss(ad.tensor(scores), labels([0], [1]), cfg)
     assert loss.item() == 0.0
 
 
 def test_margin_term_at_equality_equals_margin():
     cfg = LossConfig(margin=0.7, l1_weight=0.0, l2_weight=0.0, sparsity_weight=0.0)
     scores = np.array([0.3, 0.3])
-    loss, _ = subgraph_loss(ad.tensor(scores), SupervisionLabels({0}, {1}), cfg)
+    loss, _ = subgraph_loss(ad.tensor(scores), labels([0], [1]), cfg)
     assert loss.item() == pytest.approx(0.7)
 
 
 def test_subgraph_loss_gradient(rng):
     cfg = LossConfig()
-    labels = SupervisionLabels({0, 4}, {1, 2, 6})
+    sup = labels([0, 4], [1, 2, 6])
     base = rng.standard_normal(12)
     base[np.abs(base) < 0.05] = 0.1  # keep away from |e| and relu kinks
     params = {"e": ad.Tensor(base, trainable=True, name="e")}
-    err = ad.grad_check(lambda p: subgraph_loss(p["e"], labels, cfg)[0], params)
+    err = ad.grad_check(lambda p: subgraph_loss(p["e"], sup, cfg)[0], params)
     assert err <= 1e-6
 
 
@@ -114,12 +118,12 @@ def test_subgraph_loss_gradient(rng):
        st.integers(0, 3), st.integers(0, 3))
 def test_subgraph_loss_property_nonnegative_and_oracle(vals, i, j):
     scores = np.asarray(vals, dtype=float)
-    pos, neg = {i}, {min(j + len(vals) // 2, len(vals) - 1)}
-    if pos & neg:
+    pos, neg = [i], [min(j + len(vals) // 2, len(vals) - 1)]
+    if pos == neg:
         return
     cfg = LossConfig()
-    loss, _ = subgraph_loss(ad.tensor(scores), SupervisionLabels(pos, neg), cfg)
-    ref = sub_oracle(scores, sorted(pos), sorted(neg), cfg)
+    loss, _ = subgraph_loss(ad.tensor(scores), labels(pos, neg), cfg)
+    ref = sub_oracle(scores, pos, neg, cfg)
     assert loss.item() >= 0.0
     assert loss.item() == pytest.approx(ref, abs=1e-10)
 

@@ -124,8 +124,6 @@ def test_metric_report_validation_and_serialization():
 
 def test_evaluate_rankings_bundles_everything(rng):
     rankings, truths, _ = random_cohort(rng, n_patients=10)
-    rep = evaluate_rankings(rankings, truths, ks=(1, 5),
-                            patient_graphs=[{t} for t in truths])
+    rep = evaluate_rankings(rankings, truths, ks=(1, 5))
     assert set(rep.hits_at) == {1, 5}
     assert rep.n_patients == 10
-    assert rep.inclusion == 100.0

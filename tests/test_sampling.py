@@ -126,8 +126,18 @@ def test_triangle_positives_are_direct_arcs(tmp_path, rng):
 def test_absent_causal_gene_flags_patient(tmp_path, rng):
     g, sg = triangle_subgraph(tmp_path)
     labels = label_supervision_edges(sg, 999, 5, rng)
-    assert labels.positive_arcs == set() and labels.negative_arcs == set()
+    assert labels.positive_arcs.size == 0 and labels.negative_arcs.size == 0
     assert labels.degenerate
+
+
+def test_no_causal_gene_gives_empty_labels_and_draws_nothing(tmp_path):
+    g, sg = triangle_subgraph(tmp_path)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    labels = label_supervision_edges(sg, None, 5, rng)
+    assert labels.degenerate
+    assert labels.positive_arcs.size == 0 and labels.negative_arcs.size == 0
+    assert rng.bit_generator.state == state
 
 
 def test_negative_cardinality_contract(tmp_path, rng):
@@ -141,7 +151,9 @@ def test_negative_cardinality_contract(tmp_path, rng):
     labels = label_supervision_edges(sg, 1, 5, rng)
     assert len(labels.positive_arcs) == 1
     assert len(labels.negative_arcs) == 5
-    assert not labels.positive_arcs & labels.negative_arcs
+    assert np.intersect1d(labels.positive_arcs, labels.negative_arcs).size == 0
+    for arcs in (labels.positive_arcs, labels.negative_arcs):
+        assert arcs.dtype == np.int64 and np.all(np.diff(arcs) > 0)
 
 
 def test_negatives_capped_by_availability(tmp_path, rng):
@@ -180,8 +192,8 @@ def test_labeling_reproducible_with_fixed_seed(tmp_path):
     gene_global = int(sg.local_nodes[genes[-1]])
     l1 = label_supervision_edges(sg, gene_global, 5, np.random.default_rng(42))
     l2 = label_supervision_edges(sg, gene_global, 5, np.random.default_rng(42))
-    assert l1.positive_arcs == l2.positive_arcs
-    assert l1.negative_arcs == l2.negative_arcs
+    assert np.array_equal(l1.positive_arcs, l2.positive_arcs)
+    assert np.array_equal(l1.negative_arcs, l2.negative_arcs)
 
 
 def local_dist(sg, source):
@@ -222,7 +234,7 @@ def test_positive_arcs_match_shortest_path_oracle(tmp_path, m):
                          and from_ph[u] + 1 + from_gene[v] == from_ph[gene]}
             labels = label_supervision_edges(sg, int(sg.local_nodes[gene]), 5,
                                              np.random.default_rng(seed))
-            assert labels.positive_arcs == want
+            assert labels.positive_arcs.tolist() == sorted(want)
             assert labels.degenerate == (not want)
             checked += 1
     assert checked > 0
@@ -236,7 +248,7 @@ def test_isolated_phenotype_has_no_arcs(tmp_path):
     assert sg.arc_offsets.tolist() == [0, 0]
     # the phenotype as its own target: no arcs, so no positives
     labels = label_supervision_edges(sg, 0, 5, np.random.default_rng(0))
-    assert labels.degenerate and not labels.positive_arcs
+    assert labels.degenerate and labels.positive_arcs.size == 0
 
 
 def test_arc_offsets_delimit_each_nodes_arcs(tmp_path, rng):
@@ -255,7 +267,7 @@ def test_arc_offsets_delimit_each_nodes_arcs(tmp_path, rng):
 
 def test_supervision_labels_reject_overlap():
     with pytest.raises(ValueError):
-        SupervisionLabels({1, 2}, {2, 3})
+        SupervisionLabels(np.array([1, 2]), np.array([2, 3]))
 
 
 # ------------------------------------------------------------- cohort files
