@@ -9,10 +9,15 @@ they name); tensors carry no gradient, so a backward pass never writes to
 shared parameters.
 Reductions delegate to numpy's sequential kernels, and every scatter-add
 goes through `_scatter_add`, so forward evaluation is bit-deterministic for
-a fixed operand order.
+a fixed operand order. `_scatter_add` is one `np.bincount` over the
+flattened `row * C + col` index: bincount adds its weights one by one in
+input order, so each output cell sums its rows in row order, starting from
++0.0, as one sequential loop over the rows would.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -115,9 +120,21 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def _scatter_add(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     """Rows of `values` summed into `n` output rows by `index`, in row order."""
-    out = np.zeros((n,) + values.shape[1:])
-    np.add.at(out, index, values)
-    return out
+    if values.ndim == 1:
+        return np.bincount(index, weights=values, minlength=n)
+    c = math.prod(values.shape[1:])
+    flat = (index[:, None] * c + np.arange(c)).reshape(-1)
+    return np.bincount(flat, weights=values.reshape(-1),
+                       minlength=n * c).reshape((n,) + values.shape[1:])
+
+
+def _segment_max(values: np.ndarray, seg: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-segment max of the rows of `values`; `counts[k]` rows fall in
+    segment k, and every segment holds at least one."""
+    # max is exact in any order; the stable sort keeps each segment's rows
+    # in input order, so reduceat meets them as a sequential max would
+    order = np.argsort(seg, kind="stable")
+    return np.maximum.reduceat(values[order], np.cumsum(counts) - counts, axis=0)
 
 
 def _check_finite(arr: np.ndarray, op: str):
@@ -236,15 +253,17 @@ def relu(a) -> Tensor:
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
     a = tensor(a)
-    out = Tensor(np.where(a.data > 0, a.data, slope * a.data))
-    return _record(out, (a,), lambda g: (g * np.where(a.data > 0, 1.0, slope),))
+    # 1.0 where a > 0, else slope; x * 1.0 and x * slope are exact, so this
+    # equals np.where(a > 0, a, slope * a) bit for bit
+    factor = np.array([slope, 1.0]).take((a.data > 0).view(np.uint8))
+    return _record(Tensor(a.data * factor), (a,), lambda g: (g * factor,))
 
 
-def elu(a, alpha: float = 1.0) -> Tensor:
+def elu(a) -> Tensor:
     a = tensor(a)
-    ex = np.exp(np.minimum(a.data, 0.0))
-    out = Tensor(np.where(a.data > 0, a.data, alpha * (ex - 1.0)))
-    return _record(out, (a,), lambda g: (g * np.where(a.data > 0, 1.0, alpha * ex),))
+    ex = np.exp(np.minimum(a.data, 0.0))     # exactly 1.0 where a > 0
+    out = Tensor(np.maximum(a.data, 0.0) + (ex - 1.0))
+    return _record(out, (a,), lambda g: (g * ex,))
 
 
 def sigmoid(a) -> Tensor:
@@ -280,9 +299,7 @@ def segment_softmax(a, segments, n_segments: int) -> Tensor:
     if np.any(counts == 0):
         empty = int(np.flatnonzero(counts == 0)[0])
         raise ValueError(f"segment_softmax: empty segment {empty}")
-    group_shape = (n_segments,) + a.data.shape[1:]
-    seg_max = np.full(group_shape, -np.inf)
-    np.maximum.at(seg_max, seg, a.data)
+    seg_max = _segment_max(a.data, seg, counts)
     ex = np.exp(a.data - seg_max[seg])
     s = ex / _scatter_add(ex, seg, n_segments)[seg]
     out = Tensor(s)

@@ -149,7 +149,10 @@ def cmd_synth(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     out = Path(args.out)
-    manifest = generate_dataset(cfg, out)
+    try:
+        manifest = generate_dataset(cfg, out)
+    except ValueError as exc:           # a config whose draws run dry
+        raise ConfigError(str(exc))
     outputs = {name: out / name for name in manifest["files"]}
     outputs["manifest.json"] = out / "manifest.json"
     write_manifest(out, "synth", asdict(cfg), {}, outputs, cfg.seed,
@@ -343,7 +346,7 @@ def cmd_evaluate(args) -> int:
     cohort = load_cohort(args.cohort)
     truths = {r.patient_id: r.causal_gene for r in cohort}
 
-    report = MetricReport(hits_at={}, mrr=0.0, n_patients=len(truths))
+    report = MetricReport(hits_at={}, mrr=None, n_patients=len(truths))
     if args.predictions:
         preds = {obj["id"]: obj for _, obj in read_jsonl(
             args.predictions, {"id": "id", "ranking": "ids", "scores": "numbers"})}

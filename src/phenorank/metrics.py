@@ -74,24 +74,28 @@ def inclusion_rate(node_sets, truths) -> float:
 
 @dataclass
 class MetricReport:
+    """Ranking metrics, and inclusion when patient graphs were given.
+
+    `mrr` is None when no ranking was given; the report then holds neither
+    MRR nor Hit@k.
+    """
+
     hits_at: dict                    # k -> percent
-    mrr: float
+    mrr: float | None
     n_patients: int
     inclusion: float | None = None
 
     def __post_init__(self):
-        vals = list(self.hits_at.values()) + [self.mrr]
-        if self.inclusion is not None:
-            vals.append(self.inclusion)
+        vals = list(self.hits_at.values())
+        vals += [v for v in (self.mrr, self.inclusion) if v is not None]
         if any(not 0.0 <= v <= 100.0 for v in vals):
             raise ValueError("metric percentages must lie in [0, 100]")
 
     def to_json(self) -> str:
-        obj = {
-            "n_patients": self.n_patients,
-            "hits_at": {str(k): v for k, v in sorted(self.hits_at.items())},
-            "mrr": self.mrr,
-        }
+        obj = {"n_patients": self.n_patients}
+        if self.mrr is not None:
+            obj["hits_at"] = {str(k): v for k, v in sorted(self.hits_at.items())}
+            obj["mrr"] = self.mrr
         if self.inclusion is not None:
             obj["inclusion_rate"] = self.inclusion
         return json.dumps(obj, sort_keys=True, indent=2)
@@ -100,7 +104,7 @@ class MetricReport:
         rows = [("patients", f"{self.n_patients}")]
         for k in sorted(self.hits_at):
             rows.append((f"Hit@{k}", f"{self.hits_at[k]:.1f}"))
-        rows.append(("MRR", f"{self.mrr:.1f}"))
+        rows.append(("MRR", "n/a" if self.mrr is None else f"{self.mrr:.1f}"))
         if self.inclusion is not None:
             rows.append(("inclusion", f"{self.inclusion:.1f}"))
         width = max(len(r[0]) for r in rows)

@@ -17,7 +17,8 @@ import numpy as np
 from .kg import KnowledgeGraph, NodeType, text_lines
 
 __all__ = ["PatientRecord", "SampledSubgraph", "SupervisionLabels",
-           "sample_phenotype_subgraph", "label_supervision_edges",
+           "sample_phenotype_subgraph", "shortest_path_arcs",
+           "label_supervision_edges",
            "read_jsonl", "load_cohort"]
 
 
@@ -136,34 +137,44 @@ def sample_phenotype_subgraph(g: KnowledgeGraph, phenotypes, m: int) -> SampledS
     )
 
 
-def label_supervision_edges(sg: SampledSubgraph, causal_gene: int | None, k: int,
-                            rng: np.random.Generator) -> SupervisionLabels:
-    """Shortest-path positives and uniform negatives for one patient.
+def shortest_path_arcs(sg: SampledSubgraph, causal_gene: int | None) -> np.ndarray:
+    """Per-arc mask of the arcs on a shortest phenotype-to-gene path.
 
-    Positives are the arcs on any shortest path from any phenotype to the
-    causal gene, computed in the sampled subgraph; an arc (u, v) lies on a
-    shortest path from p iff dist(p, u) + 1 + dist(v, gene) equals
-    dist(p, gene). Negatives are drawn without replacement from the
-    remaining arcs, min(k * |positives|, available). Without a causal gene
-    in the subgraph the labels are empty and `rng` draws nothing.
+    Paths run from any phenotype to the causal gene within the sampled
+    subgraph; an arc (u, v) lies on a shortest path from p iff
+    dist(p, u) + 1 + dist(v, gene) equals dist(p, gene). Without a causal
+    gene in the subgraph no arc is marked.
     """
-    none = np.zeros(0, dtype=np.int64)
+    on_path = np.zeros(sg.n_arcs, dtype=bool)
     gene_local = sg.n_nodes if causal_gene is None \
         else int(np.searchsorted(sg.local_nodes, causal_gene))
     if gene_local == sg.n_nodes or sg.local_nodes[gene_local] != causal_gene:
-        return SupervisionLabels(none, none)
+        return on_path
     offsets, src, dst = sg.arc_offsets, sg.local_src, sg.local_dst
     to_gene = _bfs(offsets, dst, [gene_local])[dst]        # per arc: dist(v, gene)
-    on_path = np.zeros(sg.n_arcs, dtype=bool)
     for ph in sg.phenotype_locals:
         dist = _bfs(offsets, dst, [ph])
         d = dist[gene_local]
         if d >= 0:
             from_ph = dist[src]                                 # per arc: dist(p, u)
             on_path |= (from_ph >= 0) & (to_gene >= 0) & (from_ph + 1 + to_gene == d)
+    return on_path
+
+
+def label_supervision_edges(sg: SampledSubgraph, on_path: np.ndarray, k: int,
+                            rng: np.random.Generator) -> SupervisionLabels:
+    """Positives and uniform negatives for one patient.
+
+    The positives are the arcs marked in `on_path`, the mask that
+    `shortest_path_arcs` computes for `sg`. Negatives are drawn without
+    replacement from the remaining arcs, min(k * |positives|, available);
+    without positives `rng` draws nothing.
+    """
     positives, remainder = np.flatnonzero(on_path), np.flatnonzero(~on_path)
     n_neg = min(k * positives.size, remainder.size)
-    negatives = np.sort(rng.choice(remainder, size=n_neg, replace=False)) if n_neg else none
+    negatives = np.zeros(0, dtype=np.int64)
+    if n_neg:
+        negatives = np.sort(rng.choice(remainder, size=n_neg, replace=False))
     return SupervisionLabels(positives, negatives)
 
 

@@ -109,7 +109,8 @@ def generate_cohort(cfg: SynthConfig, planted: dict):
     fraction of slots swapped for (or, in additive mode, supplemented by)
     random phenotypes. disjoint_genes routes every patient whose causal
     gene falls in a held-out gene subset to the test split; mixed splits
-    patients uniformly.
+    patients uniformly. A noise draw that finds no phenotype left raises
+    ValueError naming the config keys.
     """
     rng = np.random.default_rng([cfg.seed, 0xC0407])
     disease_keys = sorted(planted)
@@ -135,6 +136,12 @@ def generate_cohort(cfg: SynthConfig, planted: dict):
             if rng.random() < cfg.phenotype_noise_rate:
                 candidates = [q for q in all_phenos
                               if q not in chosen and q not in final and q not in extra]
+                if not candidates:
+                    raise ValueError(
+                        f"phenotype_noise_rate {cfg.phenotype_noise_rate}: patient "
+                        f"pt{i:05d} holds every phenotype, none is left to draw as "
+                        f"noise; n_diseases * phenos_per_disease must be at least "
+                        f"2 * min(phenotypes_per_patient, phenos_per_disease)")
                 noise = candidates[int(rng.integers(len(candidates)))]
                 if cfg.additive_noise:
                     final.append(p)
@@ -175,10 +182,10 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> dict:
     The manifest records the config, the seed, and a sha256 per emitted
     file, and is itself deterministic for a fixed (config, seed).
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     node_rows, edge_rows, planted = generate_kg(cfg)
     train, test = generate_cohort(cfg, planted)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     paths = {
         "nodes.tsv": out_dir / "nodes.tsv",

@@ -22,7 +22,8 @@ from .config import check_fields
 from .kg import KnowledgeGraph
 from .losses import LossConfig, LossReport, gene_loss, subgraph_loss, total_loss
 from .model import ModelConfig, ModelParams, forward, init_params, param_shapes
-from .sampling import label_supervision_edges, sample_phenotype_subgraph
+from .sampling import (label_supervision_edges, sample_phenotype_subgraph,
+                       shortest_path_arcs)
 
 __all__ = ["TrainConfig", "Checkpoint", "TrainingError", "CheckpointError",
            "train", "adam_step", "clip_gradients",
@@ -95,18 +96,30 @@ def clip_gradients(grads: dict, max_norm: float) -> dict:
 
 def adam_step(arrays: dict, grads: dict, m: dict, v: dict, step_index: int,
               lr: float):
-    """In-place Adam update with bias correction; grads are pre-clipped."""
+    """In-place Adam update of `arrays`, `m` and `v` with bias correction;
+    grads are pre-clipped.
+
+    Each array is updated in place with the operations, and so the
+    rounding, of p -= lr * m_hat / (sqrt(v_hat) + eps).
+    """
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     t = step_index
     for name, p in arrays.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p)
-        m[name] = b1 * m[name] + (1 - b1) * g
-        v[name] = b2 * v[name] + (1 - b2) * g * g
-        m_hat = m[name] / (1 - b1 ** t)
-        v_hat = v[name] / (1 - b2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m_, v_ = m[name], v[name]
+        m_ *= b1
+        m_ += (1 - b1) * g
+        v_ *= b2
+        v_ += (1 - b2) * g * g
+        step = m_ / (1 - b1 ** t)       # m_hat
+        step *= lr
+        v_hat = v_ / (1 - b2 ** t)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += eps
+        step /= v_hat
+        p -= step
 
 
 # ------------------------------------------------------------ training loop
@@ -179,6 +192,10 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
         subgraphs.append(sg)
     val_cohort = [cohort[i] for i in val_idx]
     val_subgraphs = [subgraphs[i] for i in val_idx]
+    # the positives do not change between epochs; the negatives are drawn
+    # afresh each epoch
+    on_path = {int(i): shortest_path_arcs(subgraphs[i], cohort[i].causal_gene)
+               for i in train_idx}
 
     if resume is not None:
         params = resume.params
@@ -208,7 +225,7 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
         for j in order:
             i = int(train_idx[j])
             rec, sg = cohort[i], subgraphs[i]
-            labels = label_supervision_edges(sg, rec.causal_gene, lcfg.negative_ratio,
+            labels = label_supervision_edges(sg, on_path[i], lcfg.negative_ratio,
                                              np.random.default_rng([tcfg.seed ^ i, epoch]))
             with _finite(f"patient {rec.patient_id} at epoch {epoch}"):
                 with ad.Tape() as tape:

@@ -23,7 +23,7 @@ from phenorank.losses import LossConfig, gene_loss, subgraph_loss, total_loss
 from phenorank.metrics import (hits_at_k, inclusion_rate, mrr, rank_genes)
 from phenorank.model import ModelConfig, ModelParams, forward, init_params
 from phenorank.sampling import (label_supervision_edges, load_cohort,
-                                sample_phenotype_subgraph)
+                                sample_phenotype_subgraph, shortest_path_arcs)
 from phenorank.synthetic import SynthConfig, generate_dataset
 from phenorank.training import (CheckpointError, TrainConfig, load_checkpoint,
                                 save_checkpoint, train)
@@ -92,7 +92,8 @@ def test_criterion_1_gradient_fidelity(tmp_path):
 
     lcfg = LossConfig()
     causal = g.key_to_id["g0_1"]
-    labels = label_supervision_edges(sg, causal, lcfg.negative_ratio,
+    labels = label_supervision_edges(sg, shortest_path_arcs(sg, causal),
+                                     lcfg.negative_ratio,
                                      np.random.default_rng(3))
     true_local = int(np.flatnonzero(
         sg.local_nodes[sg.gene_locals] == causal)[0])

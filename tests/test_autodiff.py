@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phenorank import autodiff as ad
 from phenorank.autodiff import ShapeError, Tape, Tensor, grad_check
@@ -172,3 +174,88 @@ def test_nested_tape_rejected():
     # the failed enter must not leave a stale active tape
     with Tape():
         pass
+
+
+# ------------------------------------------- kernels equal their old formulas
+#
+# The scatter, the segment max and the activation factors replace numpy
+# formulas that the model was first written with; each must give the same
+# bits, so the checkpoint of a training run does not change.
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+           np.inf, -np.inf, 1.0, -1.5, 1e308, -1e308]
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, width=64))
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
+
+
+def float_array(data, shape):
+    size = int(np.prod(shape))
+    return np.array(data.draw(st.lists(FLOATS, min_size=size, max_size=size)),
+                    dtype=np.float64).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), trailing=st.sampled_from([(), (1,), (3,), (2, 2)]))
+def test_scatter_add_equals_sequential_add_at(data, trailing):
+    m = data.draw(st.integers(0, 12), label="rows")
+    n = data.draw(st.integers(0 if m == 0 else 1, 6), label="out rows")
+    index = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                        min_size=m, max_size=m)), dtype=np.int64)
+    values = float_array(data, (m,) + trailing)
+    with np.errstate(all="ignore"):          # inf - inf and overflow are data here
+        want = np.zeros((n,) + trailing)
+        np.add.at(want, index, values)
+        got = ad._scatter_add(values, index, n)
+    assert same_bits(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), trailing=st.sampled_from([(), (1,), (3,)]))
+def test_segment_max_equals_maximum_at(data, trailing):
+    n = data.draw(st.integers(1, 5), label="segments")
+    extra = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
+    seg = np.array(data.draw(st.permutations(list(range(n)) + extra)), dtype=np.int64)
+    values = float_array(data, (len(seg),) + trailing)
+    want = np.full((n,) + trailing, -np.inf)
+    np.maximum.at(want, seg, values)
+    got = ad._segment_max(values, seg, np.bincount(seg, minlength=n))
+    assert same_bits(got, want)
+
+
+def forward_and_vjp(op, a, g):
+    with Tape() as tape:
+        out = op(leaf(a))
+    (grad,) = tape.records[-1][2](g)
+    return out.data, grad
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 1.5, -0.5])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_leaky_relu_equals_where_form(slope, data):
+    a = float_array(data, (data.draw(st.integers(0, 10)), 3))
+    g = float_array(data, a.shape)
+    with np.errstate(all="ignore"):          # 0 * inf is data here
+        out, grad = forward_and_vjp(lambda x: ad.leaky_relu(x, slope), a, g)
+        want_out = np.where(a > 0, a, slope * a)
+        want_grad = g * np.where(a > 0, 1.0, slope)
+    assert same_bits(out, want_out)
+    assert same_bits(grad, want_grad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_elu_equals_where_form(data):
+    a = float_array(data, (data.draw(st.integers(0, 10)), 3))
+    g = float_array(data, a.shape)
+    with np.errstate(all="ignore"):
+        out, grad = forward_and_vjp(ad.elu, a, g)
+        ex = np.exp(np.minimum(a, 0.0))
+        want_out = np.where(a > 0, a, 1.0 * (ex - 1.0))
+        want_grad = g * np.where(a > 0, 1.0, 1.0 * ex)
+    assert same_bits(out, want_out)
+    assert same_bits(grad, want_grad)

@@ -558,6 +558,9 @@ def test_parser_lists_all_subcommands():
     ("train", '{}', ["--val-fraction", "-1"], "val_fraction"),
     ("synth", '{"n_background_nodes": -1}', [], "n_background_nodes"),
     ("synth", '{"test_fraction": 2.0}', [], "test_fraction"),
+    # every value in range, but the noise draw finds no phenotype left
+    ("synth", '{"n_diseases": 1, "phenos_per_disease": 3, "phenotypes_per_patient": 3, '
+              '"phenotype_noise_rate": 1.0}', [], "phenotype_noise_rate"),
 ])
 def test_out_of_range_config_exits_two_naming_the_key(workspace, tmp_path, capsys,
                                                        command, config_text, extra, key):
@@ -625,6 +628,20 @@ def test_evaluate_predictions_on_an_empty_cohort(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["n_patients"] == 0 and report["mrr"] == 0.0
     capsys.readouterr()
+
+
+def test_evaluate_graphs_alone_reports_no_ranking_metric(tmp_path, capsys):
+    _, pgs = fuse_inputs(tmp_path, ["a"])
+    cohort = tmp_path / "cohort.jsonl"
+    cohort.write_text('{"id": "a", "phenotypes": ["P1"], "causal_gene": "GB"}\n',
+                      encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--patient-graphs", str(pgs), "--cohort", str(cohort),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"n_patients": 1, "inclusion_rate": 100.0}
+    table = capsys.readouterr().out.splitlines()
+    assert "Hit@" not in "\n".join(table)
+    assert table[1].split() == ["MRR", "n/a"]
 
 
 def test_manifest_records_the_environment(workspace):

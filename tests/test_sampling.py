@@ -6,6 +6,7 @@ import pytest
 from phenorank.kg import load_graph
 from phenorank.sampling import (PatientRecord, SupervisionLabels,
                                 label_supervision_edges, load_cohort,
+                                shortest_path_arcs,
                                 sample_phenotype_subgraph)
 
 from conftest import random_graph, write_graph
@@ -114,7 +115,7 @@ def triangle_subgraph(tmp_path):
 
 def test_triangle_positives_are_direct_arcs(tmp_path, rng):
     g, sg = triangle_subgraph(tmp_path)
-    labels = label_supervision_edges(sg, 2, 5, rng)
+    labels = label_supervision_edges(sg, shortest_path_arcs(sg, 2), 5, rng)
     pos_pairs = {(int(sg.local_src[i]), int(sg.local_dst[i]))
                  for i in labels.positive_arcs}
     # shortest p->g path is the single direct arc; both orientations of
@@ -125,7 +126,7 @@ def test_triangle_positives_are_direct_arcs(tmp_path, rng):
 
 def test_absent_causal_gene_flags_patient(tmp_path, rng):
     g, sg = triangle_subgraph(tmp_path)
-    labels = label_supervision_edges(sg, 999, 5, rng)
+    labels = label_supervision_edges(sg, shortest_path_arcs(sg, 999), 5, rng)
     assert labels.positive_arcs.size == 0 and labels.negative_arcs.size == 0
     assert labels.degenerate
 
@@ -134,7 +135,7 @@ def test_no_causal_gene_gives_empty_labels_and_draws_nothing(tmp_path):
     g, sg = triangle_subgraph(tmp_path)
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
-    labels = label_supervision_edges(sg, None, 5, rng)
+    labels = label_supervision_edges(sg, shortest_path_arcs(sg, None), 5, rng)
     assert labels.degenerate
     assert labels.positive_arcs.size == 0 and labels.negative_arcs.size == 0
     assert rng.bit_generator.state == state
@@ -148,7 +149,7 @@ def test_negative_cardinality_contract(tmp_path, rng):
     edges = [("p", "r", f"g{i}") for i in range(60)]
     g = load_graph(*write_graph(tmp_path, nodes, edges))
     sg = sample_phenotype_subgraph(g, {0}, 1)
-    labels = label_supervision_edges(sg, 1, 5, rng)
+    labels = label_supervision_edges(sg, shortest_path_arcs(sg, 1), 5, rng)
     assert len(labels.positive_arcs) == 1
     assert len(labels.negative_arcs) == 5
     assert np.intersect1d(labels.positive_arcs, labels.negative_arcs).size == 0
@@ -158,7 +159,7 @@ def test_negative_cardinality_contract(tmp_path, rng):
 
 def test_negatives_capped_by_availability(tmp_path, rng):
     g, sg = triangle_subgraph(tmp_path)
-    labels = label_supervision_edges(sg, 2, 50, rng)
+    labels = label_supervision_edges(sg, shortest_path_arcs(sg, 2), 50, rng)
     assert len(labels.negative_arcs) == sg.n_arcs - len(labels.positive_arcs)
 
 
@@ -172,7 +173,7 @@ def test_positive_arcs_respect_hop_bound(tmp_path, rng):
     if not genes:
         pytest.skip("random graph produced no candidate genes")
     gene_global = int(sg.local_nodes[genes[0]])
-    labels = label_supervision_edges(sg, gene_global, 5, rng)
+    labels = label_supervision_edges(sg, shortest_path_arcs(sg, gene_global), 5, rng)
     shortest = bfs_oracle(g, sorted(phenos), 10)[gene_global]
     depth = bfs_oracle(g, sorted(phenos), 3)
     for i in labels.positive_arcs:
@@ -190,8 +191,9 @@ def test_labeling_reproducible_with_fixed_seed(tmp_path):
     if not genes:
         pytest.skip("random graph produced no candidate genes")
     gene_global = int(sg.local_nodes[genes[-1]])
-    l1 = label_supervision_edges(sg, gene_global, 5, np.random.default_rng(42))
-    l2 = label_supervision_edges(sg, gene_global, 5, np.random.default_rng(42))
+    on_path = shortest_path_arcs(sg, gene_global)
+    l1 = label_supervision_edges(sg, on_path, 5, np.random.default_rng(42))
+    l2 = label_supervision_edges(sg, on_path, 5, np.random.default_rng(42))
     assert np.array_equal(l1.positive_arcs, l2.positive_arcs)
     assert np.array_equal(l1.negative_arcs, l2.negative_arcs)
 
@@ -232,8 +234,8 @@ def test_positive_arcs_match_shortest_path_oracle(tmp_path, m):
                                                           sg.local_dst.tolist()))
                          if u in from_ph and v in from_gene
                          and from_ph[u] + 1 + from_gene[v] == from_ph[gene]}
-            labels = label_supervision_edges(sg, int(sg.local_nodes[gene]), 5,
-                                             np.random.default_rng(seed))
+            on_path = shortest_path_arcs(sg, int(sg.local_nodes[gene]))
+            labels = label_supervision_edges(sg, on_path, 5, np.random.default_rng(seed))
             assert labels.positive_arcs.tolist() == sorted(want)
             assert labels.degenerate == (not want)
             checked += 1
@@ -247,7 +249,8 @@ def test_isolated_phenotype_has_no_arcs(tmp_path):
     assert sg.n_nodes == 1 and sg.n_arcs == 0
     assert sg.arc_offsets.tolist() == [0, 0]
     # the phenotype as its own target: no arcs, so no positives
-    labels = label_supervision_edges(sg, 0, 5, np.random.default_rng(0))
+    labels = label_supervision_edges(sg, shortest_path_arcs(sg, 0), 5,
+                                     np.random.default_rng(0))
     assert labels.degenerate and labels.positive_arcs.size == 0
 
 

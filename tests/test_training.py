@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from phenorank import training
 from phenorank.kg import load_graph
 from phenorank.losses import LossConfig
 from phenorank.model import ModelConfig
-from phenorank.sampling import PatientRecord
+from phenorank.sampling import (PatientRecord, label_supervision_edges,
+                                shortest_path_arcs)
 from phenorank.training import (Checkpoint, CheckpointError, TrainConfig,
                                 adam_step, clip_gradients, load_checkpoint,
                                 save_checkpoint, train)
@@ -161,6 +163,56 @@ def test_resume_matches_uninterrupted_run(tiny_setup, tmp_path):
     for k, a in ck.params.arrays().items():
         assert np.array_equal(a, full_ck.params.arrays()[k]), k
     assert [x.loss_total for x in half_r + r] == [x.loss_total for x in full_r]
+
+
+def spy(monkeypatch, name, calls):
+    """Record the arguments and result of every call `train` makes to `name`."""
+    real = getattr(training, name)
+
+    def wrapper(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+    monkeypatch.setattr(training, name, wrapper)
+
+
+def test_train_computes_each_shortest_path_mask_once(tiny_setup, monkeypatch):
+    g, cohort = tiny_setup
+    masks, labels = [], []
+    spy(monkeypatch, "shortest_path_arcs", masks)
+    spy(monkeypatch, "label_supervision_edges", labels)
+    train(g, cohort, SMALL, LossConfig(), quick_tcfg(epochs=3))
+    masked = [id(args[0]) for args, _ in masks]
+    assert len(masked) == len(set(masked)) == len(cohort)
+    assert len(labels) == 3 * len(cohort)
+    assert {id(args[0]) for args, _ in labels} == set(masked)
+
+
+def test_cached_positives_give_the_labels_of_a_fresh_labelling(tiny_setup,
+                                                               monkeypatch):
+    # with one negative per positive the draw leaves arcs over, so each
+    # (patient, epoch) rng picks its own negatives
+    g, cohort = tiny_setup
+    lcfg = LossConfig(negative_ratio=1)
+    tcfg = quick_tcfg(epochs=3)
+    subgraphs, labels = [], []
+    spy(monkeypatch, "sample_phenotype_subgraph", subgraphs)
+    spy(monkeypatch, "label_supervision_edges", labels)
+    train(g, cohort, SMALL, lcfg, tcfg)
+    patient_of = {id(sg): i for i, (_, sg) in enumerate(subgraphs)}
+    drawn = set()
+    for step, (args, got) in enumerate(labels):
+        sg, epoch = args[0], step // len(cohort)
+        i = patient_of[id(sg)]
+        fresh = label_supervision_edges(
+            sg, shortest_path_arcs(sg, cohort[i].causal_gene), lcfg.negative_ratio,
+            np.random.default_rng([tcfg.seed ^ i, epoch]))
+        assert np.array_equal(got.positive_arcs, fresh.positive_arcs)
+        assert np.array_equal(got.negative_arcs, fresh.negative_arcs)
+        assert got.positive_arcs.size and got.negative_arcs.size
+        drawn.add((i, epoch, tuple(got.negative_arcs)))
+    assert len({(i, e) for i, e, _ in drawn}) == 3 * len(cohort)
+    assert len({(i, negs) for i, _, negs in drawn}) > len(cohort)
 
 
 def test_one_epoch_one_patient_is_one_step(tiny_setup):
