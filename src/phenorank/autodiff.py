@@ -26,7 +26,7 @@ __all__ = [
     "add", "sub", "mul", "div", "matmul", "scale", "shift",
     "concat", "reshape", "tile_rows", "gather_rows",
     "abs_", "relu", "leaky_relu", "elu", "sigmoid", "clamp",
-    "segment_softmax", "segment_sum", "segment_mean",
+    "segment_softmax", "segment_sum",
     "row_l2_norm", "sum_", "mean_", "log1p_sum_exp",
     "grad_check",
 ]
@@ -318,23 +318,6 @@ def segment_sum(a, segments, n_segments: int) -> Tensor:
     _segment_matrix_check(a, seg)
     out = Tensor(_scatter_add(a.data, seg, n_segments))
     return _record(out, (a,), lambda g: (g[seg],))
-
-
-def segment_mean(a, segments, n_segments: int) -> Tensor:
-    """Per-segment mean; empty segments yield 0 (callers must not consume them)."""
-    a = tensor(a)
-    seg = np.asarray(segments, dtype=np.int64)
-    _segment_matrix_check(a, seg)
-    counts = np.bincount(seg, minlength=n_segments).astype(np.float64)
-    safe = np.maximum(counts, 1.0)
-    denom = safe if a.data.ndim == 1 else safe[:, None]
-    out = Tensor(_scatter_add(a.data, seg, n_segments) / denom)
-
-    def vjp(g):
-        w = g / denom
-        return (w[seg],)
-
-    return _record(out, (a,), vjp)
 
 
 def sum_(a, axis: int | None = None) -> Tensor:

@@ -35,7 +35,8 @@ from .metrics import (MetricReport, Ranking, evaluate_rankings, inclusion_rate,
 from .model import ModelConfig, forward
 from .sampling import load_cohort, read_jsonl, sample_phenotype_subgraph
 from .synthetic import SynthConfig, generate_dataset
-from .training import (TrainConfig, load_checkpoint, save_checkpoint, train)
+from .training import (TrainConfig, TrainingError, _finite, load_checkpoint,
+                       save_checkpoint, train)
 
 __all__ = ["main"]
 
@@ -192,6 +193,9 @@ def cmd_train(args) -> int:
         resume = load_checkpoint(args.resume)
         flat = _resumed_config(flat, resume, args.resume)
     mcfg, lcfg, tcfg = _split_configs(flat)
+    if resume is not None and tcfg.epochs < resume.epoch:
+        raise ConfigError(f"epochs {tcfg.epochs} is below epoch {resume.epoch} "
+                          f"that {args.resume} has reached")
     g = load_graph(args.nodes, args.edges)
     if resume is not None:
         _check_graph(resume, g, args.resume)
@@ -229,31 +233,34 @@ def _serving_hops(ckpt, hops, path) -> int:
 
 
 def _resumed_config(flat: dict, ckpt, path) -> dict:
-    """The checkpoint's model config and hop count where `flat` sets none;
-    a different value in `flat` is an error."""
-    stored = asdict(ckpt.model_config)
+    """The checkpoint's model config, hop count and seed where `flat` sets
+    none; a different value in `flat` is an error."""
+    stored = {**asdict(ckpt.model_config), "sample_hops": ckpt.sample_hops,
+              "seed": ckpt.seed}
     for key, val in stored.items():
         if flat.get(key, val) != val:
             raise ConfigError(f"{key} {flat[key]} differs from {key} {val} "
                               f"that {path} was trained with")
-    stored["sample_hops"] = _serving_hops(ckpt, flat.get("sample_hops"), path)
     return {**flat, **stored}
 
 
 def _per_patient_scores(g, ckpt, cohort, hops: int):
     """Forward passes: (record, subgraph, bundle, error) in cohort order.
 
-    A patient without a usable phenotype node yields no subgraph and no
-    bundle, and the reason as its error.
+    A patient without a usable phenotype node, or whose forward pass meets
+    an overflow or a non-finite value, yields no subgraph and no bundle,
+    and the reason as its error.
     """
     params = ckpt.ranking_params()
     for rec in cohort:
         try:
             sg = sample_phenotype_subgraph(g, rec.phenotypes, hops)
-        except ValueError as exc:
+            with _finite("forward pass"):
+                bundle = forward(params, ckpt.model_config, sg)
+        except (ValueError, TrainingError) as exc:
             yield rec, None, None, f"patient {rec.patient_id}: {exc}"
             continue
-        yield rec, sg, forward(params, ckpt.model_config, sg), None
+        yield rec, sg, bundle, None
 
 
 def _failure_exit(failed: list, total: int) -> int:

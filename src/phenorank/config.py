@@ -1,10 +1,11 @@
-"""One field check for every configuration dataclass.
+"""One value check for every configuration dataclass and stored scalar.
 
 Each field must hold its annotated type (a float must also be finite), and
 a field given a rule must satisfy it. A rule is a one-sided bound such as
 ">= 1" or "> 0", or an interval such as "[0, 1)" whose square brackets
 include their end. A failure raises ValueError naming the field, which the
-CLI reports as a config error (exit 2).
+CLI reports as a config error (exit 2). Checkpoint scalars are checked by
+the same rules when a checkpoint is loaded.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 
-__all__ = ["check_fields"]
+__all__ = ["check_fields", "check_value"]
 
 
 def _number(v) -> bool:
@@ -36,16 +37,19 @@ def _satisfies(v, rule: str) -> bool:
     return v >= float(bound) if op == ">=" else v > float(bound)
 
 
+def check_value(name: str, v, kind: str, rule: str | None = None):
+    """Raise ValueError naming `name` unless `v` is of type `kind` (a type
+    name such as "int") and satisfies `rule`."""
+    what, fits = _TYPES[kind]
+    if not fits(v):
+        raise ValueError(f"{name} must be {what}, got {v!r}")
+    if rule is not None and not _satisfies(v, rule):
+        verb = "lie in" if rule[0] in "[(" else "be"
+        raise ValueError(f"{name} must {verb} {rule}, got {v!r}")
+
+
 def check_fields(cfg, **rules):
     """Raise ValueError for the first field of dataclass `cfg` that is not
     of its annotated type, or that breaks its rule in `rules`."""
     for f in fields(cfg):
-        what, fits = _TYPES[f.type]
-        v = getattr(cfg, f.name)
-        if not fits(v):
-            raise ValueError(f"{f.name} must be {what}, got {v!r}")
-    for name, rule in rules.items():
-        v = getattr(cfg, name)
-        if not _satisfies(v, rule):
-            verb = "lie in" if rule[0] in "[(" else "be"
-            raise ValueError(f"{name} must {verb} {rule}, got {v!r}")
+        check_value(f.name, getattr(cfg, f.name), f.type, rules.get(f.name))

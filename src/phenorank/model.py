@@ -229,7 +229,8 @@ def score_genes(p: Tensor, node_embeddings_final: Tensor, edge_scores_raw: Tenso
     no_arcs = gene_locals[in_degree[gene_locals] == 0]
     if no_arcs.size:
         raise ValueError(f"gene (local {int(no_arcs[0])}) has no incoming arcs")
-    mean_in = ad.segment_mean(ad.sigmoid(edge_scores_raw), sg.local_dst, sg.n_nodes)
+    mean_in = ad.div(ad.segment_sum(ad.sigmoid(edge_scores_raw), sg.local_dst, sg.n_nodes),
+                     np.maximum(in_degree, 1).astype(np.float64))
     gene_mean = ad.gather_rows(mean_in, gene_locals)
     penalty = ad.scale(ad.shift(ad.scale(ad.clamp(gene_mean, 0.0, 1.0), -1.0), 1.0),
                        penalty_weight)

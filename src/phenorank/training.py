@@ -1,7 +1,9 @@
 """End-to-end optimization loop: Adam, step LR schedule, checkpointing.
 
 One optimizer step per patient (subgraphs vary in size, so no padding).
-All randomness derives from (seed, epoch, patient index), which makes runs
+The `Checkpoint` is the whole training state: `train` advances one, fresh
+or resumed, and `save_checkpoint` writes it as it stands. All randomness
+derives from (seed, epoch, patient index), which makes runs
 bit-reproducible and lets a checkpoint resume to the exact state of an
 uninterrupted run.
 """
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .config import check_fields
+from .config import check_fields, check_value
 from .kg import KnowledgeGraph
 from .losses import LossConfig, LossReport, gene_loss, subgraph_loss, total_loss
 from .model import ModelConfig, ModelParams, forward, init_params, param_shapes
@@ -168,7 +170,8 @@ def _validation_mrr(params, mcfg, cohort, subgraphs) -> float:
 def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
           tcfg: TrainConfig, resume: Checkpoint | None = None,
           progress=None) -> tuple[Checkpoint, list[LossReport]]:
-    """Optimize the model on a patient cohort.
+    """Optimize the model on a patient cohort, advancing `resume` in place
+    (or a fresh checkpoint) up to epoch `tcfg.epochs`.
 
     Per epoch the patient order is reshuffled (seeded); each patient's
     cached subgraph runs forward -> joint loss -> backward -> clipped Adam
@@ -177,6 +180,10 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
     """
     if not cohort:
         raise ValueError("empty cohort")
+    if resume is not None and (resume.model_config, resume.seed, resume.sample_hops) \
+            != (mcfg, tcfg.seed, tcfg.sample_hops):
+        raise ValueError("the model config, seed or hop count differs from "
+                         "the checkpoint's")
     rng = np.random.default_rng([tcfg.seed, 0x5EED])
     n_val = int(round(tcfg.val_fraction * len(cohort)))
     perm = rng.permutation(len(cohort))
@@ -197,27 +204,16 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
     on_path = {int(i): shortest_path_arcs(subgraphs[i], cohort[i].causal_gene)
                for i in train_idx}
 
-    if resume is not None:
-        params = resume.params
-        adam_m = resume.adam_m
-        adam_v = resume.adam_v
-        step_count = resume.adam_step_count
-        start_epoch = resume.epoch
-        best_params = resume.best_params
-        best_val_mrr = resume.best_val_mrr
-    else:
+    ck = resume
+    if ck is None:
         params = init_params(mcfg, g.node_count, np.random.default_rng([tcfg.seed, 0x1217]))
-        arrays = params.arrays()
-        adam_m = {k: np.zeros_like(a) for k, a in arrays.items()}
-        adam_v = {k: np.zeros_like(a) for k, a in arrays.items()}
-        step_count = 0
-        start_epoch = 0
-        best_params = None
-        best_val_mrr = -1.0
-
-    arrays = params.arrays()
+        adam_m, adam_v = ({k: np.zeros_like(a) for k, a in params.arrays().items()}
+                          for _ in range(2))
+        ck = Checkpoint(mcfg, params, adam_m, adam_v, adam_step_count=0, epoch=0,
+                        seed=tcfg.seed, sample_hops=tcfg.sample_hops)
+    arrays = ck.params.arrays()
     reports: list[LossReport] = []
-    for epoch in range(start_epoch, tcfg.epochs):
+    for epoch in range(ck.epoch, tcfg.epochs):
         lr = tcfg.lr_at(epoch)
         order = np.random.default_rng([tcfg.seed, 1000 + epoch]).permutation(len(train_idx))
         sub_sum = gene_sum = tot_sum = 0.0
@@ -229,11 +225,11 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
                                              np.random.default_rng([tcfg.seed ^ i, epoch]))
             with _finite(f"patient {rec.patient_id} at epoch {epoch}"):
                 with ad.Tape() as tape:
-                    loss_t, report = _patient_loss(params, mcfg, lcfg, sg, labels,
+                    loss_t, report = _patient_loss(ck.params, mcfg, lcfg, sg, labels,
                                                    rec.causal_gene)
                 grads = clip_gradients(tape.backward(loss_t), GRAD_CLIP_NORM)
-                step_count += 1
-                adam_step(arrays, grads, adam_m, adam_v, step_count, lr)
+                ck.adam_step_count += 1
+                adam_step(arrays, grads, ck.adam_m, ck.adam_v, ck.adam_step_count, lr)
             sub_sum += report.loss_sub
             gene_sum += report.loss_gene
             tot_sum += report.loss_total
@@ -241,34 +237,22 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
         n = len(order)
         epoch_report = LossReport(sub_sum / n, gene_sum / n, tot_sum / n, hn_sum)
         reports.append(epoch_report)
+        ck.epoch = epoch + 1
 
         val_mrr = None
         if val_cohort:
             with _finite(f"validation at epoch {epoch}"):
-                val_mrr = _validation_mrr(params, mcfg, val_cohort, val_subgraphs)
-            if val_mrr > best_val_mrr:
-                best_val_mrr = val_mrr
-                best_params = params.copy()
+                val_mrr = _validation_mrr(ck.params, mcfg, val_cohort, val_subgraphs)
+            if val_mrr > ck.best_val_mrr:
+                ck.best_val_mrr = val_mrr
+                ck.best_params = ck.params.copy()
         if progress:
             msg = (f"epoch {epoch:3d}  lr {lr:.2e}  loss {epoch_report.loss_total:.4f}"
                    f"  (sub {epoch_report.loss_sub:.4f} gene {epoch_report.loss_gene:.4f})")
             if val_mrr is not None:
                 msg += f"  val_mrr {100 * val_mrr:.1f}"
             progress(msg)
-
-    ckpt = Checkpoint(
-        model_config=mcfg,
-        params=params,
-        adam_m=adam_m,
-        adam_v=adam_v,
-        adam_step_count=step_count,
-        epoch=tcfg.epochs,
-        seed=tcfg.seed,
-        sample_hops=tcfg.sample_hops,
-        best_params=best_params,
-        best_val_mrr=best_val_mrr,
-    )
-    return ckpt, reports
+    return ck, reports
 
 
 # ---------------------------------------------------------- checkpoint file
@@ -321,6 +305,23 @@ def _unpack_tensors(blob: bytes) -> dict:
     return tensors
 
 
+# Each stored scalar: the Checkpoint field it holds, that field's type and
+# the rule (config.check_value's) its value must meet. Every one is required.
+_SCALARS = {
+    "adam/step": ("adam_step_count", "int", ">= 0"),
+    "meta/epoch": ("epoch", "int", ">= 0"),
+    "meta/seed": ("seed", "int", ">= 0"),
+    "meta/sample_hops": ("sample_hops", "int", ">= 1"),
+    "meta/best_val_mrr": ("best_val_mrr", "float", "[-1, 1]"),
+}
+
+
+def _stored(val: float, kind: str):
+    """A stored float as a value of type `kind`; only an integral one
+    becomes an int, so the type check rejects 3.5 rather than truncate it."""
+    return int(val) if kind == "int" and val.is_integer() else val
+
+
 def save_checkpoint(ckpt: Checkpoint, path):
     tensors = {}
     for k, v in asdict(ckpt.model_config).items():
@@ -331,11 +332,8 @@ def save_checkpoint(ckpt: Checkpoint, path):
         tensors[f"adam/m/{k}"] = a
     for k, a in ckpt.adam_v.items():
         tensors[f"adam/v/{k}"] = a
-    tensors["adam/step"] = np.float64(ckpt.adam_step_count)
-    tensors["meta/epoch"] = np.float64(ckpt.epoch)
-    tensors["meta/seed"] = np.float64(ckpt.seed)
-    tensors["meta/sample_hops"] = np.float64(ckpt.sample_hops)
-    tensors["meta/best_val_mrr"] = np.float64(ckpt.best_val_mrr)
+    for name, (field, _, _) in _SCALARS.items():
+        tensors[name] = np.float64(getattr(ckpt, field))
     if ckpt.best_params is not None:
         for k, a in ckpt.best_params.arrays().items():
             tensors[f"best/{k}"] = a
@@ -347,16 +345,12 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         return _checkpoint_from_tensors(_unpack_tensors(Path(path).read_bytes()))
     except (TypeError, ValueError, OverflowError) as exc:
-        # CheckpointError, or a stored value that ModelConfig or int() rejects
+        # CheckpointError, or a stored value that ModelConfig or a rule rejects
         raise CheckpointError(f"{path}: {exc}") from None
 
 
-_SCALARS = ("adam/step", "meta/epoch", "meta/seed", "meta/sample_hops",
-            "meta/best_val_mrr")
-
-
 def _checkpoint_from_tensors(tensors: dict) -> Checkpoint:
-    cfg_kwargs, scalars = {}, {}
+    cfg_kwargs = {}
     groups = {"param/": {}, "adam/m/": {}, "adam/v/": {}, "best/": {}}
     for name, arr in tensors.items():
         prefix = next((p for p in groups if name.startswith(p)), None)
@@ -364,16 +358,17 @@ def _checkpoint_from_tensors(tensors: dict) -> Checkpoint:
             fld = ModelConfig.__dataclass_fields__.get(name[7:])
             if fld is None:
                 raise CheckpointError(f"unknown config key {name[7:]!r}")
-            val = arr.item()
-            cfg_kwargs[fld.name] = val if fld.type == "float" else int(val)
+            cfg_kwargs[fld.name] = _stored(arr.item(), fld.type)
         elif prefix is not None:
             groups[prefix][name[len(prefix):]] = arr
-        elif name in _SCALARS:
-            scalars[name] = arr.item()
-        else:
+        elif name not in _SCALARS:
             raise CheckpointError(f"unknown tensor {name!r}")
-    if "meta/sample_hops" not in scalars:
-        raise CheckpointError("missing meta/sample_hops")
+    scalars = {}
+    for name, (field, kind, rule) in _SCALARS.items():
+        if name not in tensors:
+            raise CheckpointError(f"missing {name}")
+        scalars[field] = _stored(tensors[name].item(), kind)
+        check_value(name, scalars[field], kind, rule)
     mcfg = ModelConfig(**cfg_kwargs)
     params, best = groups["param/"], groups["best/"]
     if mcfg.layers > len(params):        # a corrupt count; keeps the layout small
@@ -392,15 +387,13 @@ def _checkpoint_from_tensors(tensors: dict) -> Checkpoint:
             if group[k].shape != expected[k]:
                 raise CheckpointError(f"{prefix}{k} has shape {group[k].shape}, "
                                       f"the stored config needs {expected[k]}")
+            if not np.isfinite(group[k]).all():
+                raise CheckpointError(f"{prefix}{k} holds a non-finite value")
     return Checkpoint(
         model_config=mcfg,
         params=ModelParams.from_arrays(params),
         adam_m=groups["adam/m/"],
         adam_v=groups["adam/v/"],
-        adam_step_count=int(scalars.get("adam/step", 0)),
-        epoch=int(scalars.get("meta/epoch", 0)),
-        seed=int(scalars.get("meta/seed", 0)),
-        sample_hops=int(scalars["meta/sample_hops"]),
         best_params=ModelParams.from_arrays(best) if best else None,
-        best_val_mrr=scalars.get("meta/best_val_mrr", -1.0),
+        **scalars,
     )

@@ -117,8 +117,6 @@ PRIMITIVES = [
         ad.segment_softmax(p["a"], [0, 0, 1, 1, 1, 2, 2, 0, 1, 2] * 2, 3), p["b"]))),
     ("segment_sum", lambda p: ad.sum_(ad.mul(
         ad.segment_sum(p["a"], [0, 1, 2, 0] * 5, 3), ad.tensor([1.0, -2.0, 0.5])))),
-    ("segment_mean", lambda p: ad.sum_(ad.mul(
-        ad.segment_mean(p["a"], [0, 1, 2, 0] * 5, 3), ad.tensor([1.0, -2.0, 0.5])))),
     ("row_l2_norm", lambda p: ad.sum_(ad.row_l2_norm(ad.reshape(p["a"], (4, 5))))),
     ("sum_axis", lambda p: ad.sum_(ad.mul(
         ad.sum_(ad.reshape(ad.mul(p["a"], p["b"]), (2, 5, 2)), axis=1),

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from phenorank import cli
 from phenorank.cli import build_parser, main
 from phenorank.kg import load_graph
-from phenorank.training import (CheckpointError, _pack_tensors, _unpack_tensors,
-                                load_checkpoint)
+from phenorank.training import (_SCALARS, CheckpointError, _pack_tensors,
+                                _unpack_tensors, load_checkpoint)
 
 SMALL_TRAIN_CONFIG = {
     "embed_dim": 8, "hidden_dim": 8, "out_dim": 6, "heads": 2, "layers": 2,
@@ -152,14 +152,27 @@ def _edited(blob: bytes, edit) -> bytes:
     return _pack_tensors(tensors)
 
 
+def _set(name, value):
+    """A checkpoint edit that stores `value` as tensor `name`."""
+    return lambda b: _edited(b, lambda t: t.update({name: value}))
+
+
 BAD_CHECKPOINTS = {
+    # every stored scalar is required: one row per scalar, e.g. no_sample_hops
+    **{f"no_{name.split('/')[1]}": (
+        lambda b, name=name: _edited(b, lambda t: t.pop(name)), f"missing {name}")
+       for name in _SCALARS},
+    "fractional_step": (_set("adam/step", 3.5), "adam/step must be an integer, got 3.5"),
+    "negative_step": (_set("adam/step", -1.0), "adam/step must be >= 0, got -1"),
+    "nan_best_val_mrr": (_set("meta/best_val_mrr", math.nan),
+                         "meta/best_val_mrr must be a finite number, got nan"),
+    "nan_embed": (lambda b: _edited(b, lambda t: t["param/embed"].__setitem__(
+        (0, 0), math.nan)), "param/embed holds a non-finite value"),
+    "fractional_config_value": (_set("config/heads", 2.5),
+                                "heads must be an integer, got 2.5"),
     "version_1": (lambda b: _with_version(b, 1), "version 1"),
-    "unknown_config_key": (lambda b: _edited(b, lambda t: t.update(
-        {"config/bogus": 1.0})), "unknown config key 'bogus'"),
-    "no_sample_hops": (lambda b: _edited(b, lambda t: t.pop("meta/sample_hops")),
-                       "missing meta/sample_hops"),
-    "bad_config_value": (lambda b: _edited(b, lambda t: t.update(
-        {"config/heads": 3.0})), "divisible"),
+    "unknown_config_key": (_set("config/bogus", 1.0), "unknown config key 'bogus'"),
+    "bad_config_value": (_set("config/heads", 3.0), "divisible"),
     "bad_magic": (lambda b: b"JUNK" + b[4:], "magic"),
     "flipped_byte": (lambda b: b[:40] + bytes([b[40] ^ 1]) + b[41:], "checksum"),
     "truncated": (lambda b: b[:len(b) // 2], "checksum"),
@@ -171,12 +184,9 @@ BAD_CHECKPOINTS = {
                        "missing adam/v/query"),
     "bad_param_shape": (lambda b: _edited(b, lambda t: t.update(
         {"param/query": t["param/query"][:-1]})), "param/query has shape"),
-    "other_model_config": (lambda b: _edited(b, lambda t: t.update(
-        {"config/out_dim": 12.0})), "the stored config needs"),
-    "unknown_tensor": (lambda b: _edited(b, lambda t: t.update(
-        {"extra/x": 1.0})), "unknown tensor 'extra/x'"),
-    "unknown_param": (lambda b: _edited(b, lambda t: t.update(
-        {"param/extra": 1.0})), "unknown tensor 'param/extra'"),
+    "other_model_config": (_set("config/out_dim", 12.0), "the stored config needs"),
+    "unknown_tensor": (_set("extra/x", 1.0), "unknown tensor 'extra/x'"),
+    "unknown_param": (_set("param/extra", 1.0), "unknown tensor 'param/extra'"),
 }
 
 
@@ -194,6 +204,36 @@ def test_bad_checkpoint_names_file_and_exits_one(workspace, tmp_path, capsys, ki
                  "--out", str(out)]) == 1
     assert str(bad) in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_degenerate_forward_pass_is_a_patient_error(workspace, tmp_path, capsys):
+    # a zero last projection gives every node a zero embedding, and so a
+    # cosine score of 0 / 0: each patient fails, and the run exits 1
+    def zero_last_projection(t):
+        layers = int(t["config/layers"].item())
+        for prefix in ("param/", "best/"):
+            if f"{prefix}layer{layers - 1}/Wproj" in t:
+                t[f"{prefix}layer{layers - 1}/Wproj"][:] = 0.0
+    ckpt = tmp_path / "zero.rnck"
+    ckpt.write_bytes(_edited((workspace / "run" / "checkpoint.rnck").read_bytes(),
+                             zero_last_projection))
+    serve = [*args_for(workspace), "--checkpoint", str(ckpt),
+             "--patients", str(workspace / "data" / "test.jsonl")]
+    n = len((workspace / "data" / "test.jsonl").read_text().splitlines())
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["predict", *serve, "--out", str(tmp_path / "pred.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert main(["extract", *serve, "--out-dir", str(tmp_path / "x")]) == 1
+        err += capsys.readouterr().err
+    assert err.count(f"error: {n} of {n} patients failed") == 2
+    assert "Traceback" not in err and "invalid value" in err
+    for path in (tmp_path / "pred.jsonl", tmp_path / "x" / "patient_graphs.jsonl"):
+        records = [json.loads(x) for x in path.read_text().splitlines()]
+        assert len(records) == n
+        assert all(r["error"].startswith(f"patient {r['id']}: forward pass: ")
+                   for r in records)
 
 
 def _fields(blob: bytes) -> tuple:
@@ -350,8 +390,8 @@ def test_serving_hops_default_to_the_trained_ones(workspace, tmp_path, capsys):
 
 
 def test_resume_takes_the_checkpoint_settings(workspace, tmp_path, capsys):
-    resume = [*args_for(workspace), "--cohort", str(workspace / "data" / "train.jsonl"),
-              "--epochs", "3", "--resume", str(workspace / "run" / "checkpoint.rnck")]
+    cohort = [*args_for(workspace), "--cohort", str(workspace / "data" / "train.jsonl")]
+    resume = [*cohort, "--epochs", "3", "--resume", str(workspace / "run" / "checkpoint.rnck")]
     # no --config and no --hops: the model config and hops are the checkpoint's
     assert main(["train", *resume, "--out-dir", str(tmp_path / "a")]) == 0
     ck = load_checkpoint(tmp_path / "a" / "checkpoint.rnck")
@@ -366,7 +406,29 @@ def test_resume_takes_the_checkpoint_settings(workspace, tmp_path, capsys):
                  "--out-dir", str(tmp_path / "c")]) == 2
     err = capsys.readouterr().err
     assert "embed_dim 16" in err and "embed_dim 8" in err
-    assert not (tmp_path / "b").exists() and not (tmp_path / "c").exists()
+    # the workspace checkpoint has run 2 epochs; the later --epochs wins
+    assert main(["train", *resume, "--epochs", "1", "--out-dir", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert "epochs 1" in err and "epoch 2" in err
+
+    # the seed too: a seed-7 run resumed without --seed (from a config
+    # without one) gives the bytes of the uninterrupted seed-7 run
+    no_seed = tmp_path / "no_seed.json"
+    no_seed.write_text(json.dumps({k: v for k, v in SMALL_TRAIN_CONFIG.items()
+                                   if k != "seed"}), encoding="utf-8")
+    run = [*cohort, "--config", str(no_seed)]
+    assert main(["train", *run, "--seed", "7", "--out-dir", str(tmp_path / "whole")]) == 0
+    assert main(["train", *run, "--seed", "7", "--epochs", "1",
+                 "--out-dir", str(tmp_path / "half")]) == 0
+    half = ["--resume", str(tmp_path / "half" / "checkpoint.rnck")]
+    assert main(["train", *run, *half, "--out-dir", str(tmp_path / "rest")]) == 0
+    assert (tmp_path / "rest" / "checkpoint.rnck").read_bytes() == \
+        (tmp_path / "whole" / "checkpoint.rnck").read_bytes()
+    capsys.readouterr()
+    assert main(["train", *run, *half, "--seed", "3", "--out-dir", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert "seed 3" in err and "seed 7" in err
+    assert not any((tmp_path / d).exists() for d in "bcde")
 
 
 def _first_gene_key(workspace):

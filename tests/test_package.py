@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -28,3 +29,16 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
                            str(Path(phenorank.__file__).parents[1])],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("path", sorted(Path(phenorank.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_runtime_imports_only_numpy_and_the_standard_library(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    outside = [m for m in imported
+               if m.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert outside == []

@@ -150,19 +150,41 @@ def test_different_seeds_diverge(tiny_setup):
                               ck2.params.arrays()["embed"])
 
 
-def test_resume_matches_uninterrupted_run(tiny_setup, tmp_path):
+@pytest.mark.parametrize("val_fraction", [0.0, 0.34])
+def test_resume_matches_uninterrupted_run(tiny_setup, tmp_path, val_fraction):
     g, cohort = tiny_setup
-    full_ck, full_r = train(g, cohort, SMALL, LossConfig(), quick_tcfg(epochs=4))
-    half_ck, half_r = train(g, cohort, SMALL, LossConfig(), quick_tcfg(epochs=2))
+    tcfg = quick_tcfg(epochs=4, val_fraction=val_fraction)
+    full_ck, full_r = train(g, cohort, SMALL, LossConfig(), tcfg)
+    half_ck, half_r = train(g, cohort, SMALL, LossConfig(),
+                            quick_tcfg(epochs=2, val_fraction=val_fraction))
     path = tmp_path / "half.ckpt"
     save_checkpoint(half_ck, path)
     resumed = load_checkpoint(path)
     assert resumed.epoch == 2
-    ck, r = train(g, cohort, SMALL, LossConfig(), quick_tcfg(epochs=4),
-                  resume=resumed)
+    ck, r = train(g, cohort, SMALL, LossConfig(), tcfg, resume=resumed)
+    assert ck is resumed and ck.epoch == 4
     for k, a in ck.params.arrays().items():
         assert np.array_equal(a, full_ck.params.arrays()[k]), k
+    if val_fraction:
+        for k, a in ck.best_params.arrays().items():
+            assert np.array_equal(a, full_ck.best_params.arrays()[k]), k
+    else:
+        assert ck.best_params is full_ck.best_params is None
+    assert ck.best_val_mrr == full_ck.best_val_mrr
+    assert ck.adam_step_count == full_ck.adam_step_count
     assert [x.loss_total for x in half_r + r] == [x.loss_total for x in full_r]
+    save_checkpoint(ck, tmp_path / "resumed.ckpt")
+    save_checkpoint(full_ck, tmp_path / "full.ckpt")
+    assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "full.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("change", [{"seed": 1}, {"sample_hops": 1}])
+def test_resume_rejects_other_training_settings(tiny_setup, change):
+    g, cohort = tiny_setup
+    ck, _ = train(g, cohort, SMALL, LossConfig(), quick_tcfg(epochs=1))
+    with pytest.raises(ValueError, match="differs from the checkpoint's"):
+        train(g, cohort, SMALL, LossConfig(), quick_tcfg(**change), resume=ck)
+    assert ck.epoch == 1
 
 
 def spy(monkeypatch, name, calls):
