@@ -3,10 +3,13 @@
 Tensors wrap float64 numpy arrays. Operations executed while a Tape is
 active append a record (output, parents, vjp); Tape.backward replays the
 records in reverse, which is a valid topological order because records are
-appended at creation time. Gradients live only inside one backward call,
-in a dict keyed by `id(tensor)` (unique while the records hold every tensor
-they name); tensors carry no gradient, so a backward pass never writes to
-shared parameters.
+appended at creation time. `Tape.backward(root, wrt)` differentiates with
+respect to the leaves it is given: `wrt` maps names to Tensors, and the
+result maps the same names, in `wrt` order, to gradients (a leaf that
+`root` does not depend on gets no key). Gradients live only inside one
+backward call, in a dict keyed by `id(tensor)` (unique while the records
+hold every tensor they name); tensors carry no gradient, so a backward
+pass never writes to shared parameters.
 Reductions delegate to numpy's sequential kernels, and every scatter-add
 goes through `_scatter_add`, so forward evaluation is bit-deterministic for
 a fixed operand order. `_scatter_add` is one `np.bincount` over the
@@ -37,12 +40,10 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "trainable", "name")
+    __slots__ = ("data",)
 
-    def __init__(self, data, trainable: bool = False, name: str | None = None):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.trainable = trainable
-        self.name = name
 
     @property
     def shape(self):
@@ -52,11 +53,11 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, trainable={self.trainable})"
+        return f"Tensor(shape={self.data.shape})"
 
 
-def tensor(x, trainable: bool = False, name: str | None = None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, trainable=trainable, name=name)
+def tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 _ACTIVE_TAPE: "Tape | None" = None
@@ -80,8 +81,9 @@ class Tape:
         _ACTIVE_TAPE = None
         return False
 
-    def backward(self, root: Tensor) -> dict:
-        """Gradients of scalar `root` w.r.t. every trainable leaf, by name."""
+    def backward(self, root: Tensor, wrt: dict) -> dict:
+        """Gradients of scalar `root` w.r.t. the Tensors of `wrt`, by its
+        keys in its order; a Tensor that `root` does not reach gets no key."""
         if root.data.ndim != 0 and root.data.size != 1:
             raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
         grad_of = {id(root): np.ones_like(root.data)}
@@ -94,12 +96,7 @@ class Tape:
                     continue
                 prev = grad_of.get(id(p))
                 grad_of[id(p)] = g if prev is None else prev + g
-        grads = {}
-        for out, parents, _ in self.records:
-            for p in parents:
-                if p.trainable and id(p) in grad_of:
-                    grads[p.name] = grad_of[id(p)]
-        return grads
+        return {k: grad_of[id(t)] for k, t in wrt.items() if id(t) in grad_of}
 
 
 def _record(out: Tensor, parents, vjp):
@@ -371,16 +368,16 @@ def grad_check(f, params: dict, h: float = 1e-5, n_samples: int = 20,
                rng=None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    `f` is a deterministic scalar function of `params` (name -> Tensor with
-    trainable=True). Coordinates are sampled per tensor; the relative error
-    denominator is max(1, |numeric|).
+    `f` is a deterministic scalar function of `params` (name -> Tensor),
+    which are the leaves differentiated. Coordinates are sampled per
+    tensor; the relative error denominator is max(1, |numeric|).
     """
     if h <= 0:
         raise ValueError("h must be positive")
     rng = rng or np.random.default_rng(0)
     with Tape() as tape:
         loss = f(params)
-    grads = tape.backward(loss)
+    grads = tape.backward(loss, params)
     worst = 0.0
     for name, p in params.items():
         flat = p.data.reshape(-1)

@@ -96,7 +96,7 @@ def _replacing(path):
 
 def _check_graph(ckpt, g, path):
     """The checkpoint's embedding table must have one row per graph node."""
-    rows = len(ckpt.params["embed"].data)
+    rows = len(ckpt.params["embed"])
     if rows != g.node_count:
         raise ValueError(f"{path} was trained on a graph of {rows} nodes, "
                          f"this graph has {g.node_count}")
@@ -245,10 +245,11 @@ def _resumed_config(flat: dict, ckpt, path) -> dict:
 
 
 def _per_patient_scores(g, ckpt, cohort, hops: int):
-    """Forward passes: (record, subgraph, bundle, error) in cohort order.
+    """Forward passes: (record, subgraph, edge scores, gene scores, error)
+    in cohort order, the scores as arrays.
 
     A patient without a usable phenotype node, or whose forward pass meets
-    an overflow or a non-finite value, yields no subgraph and no bundle,
+    an overflow or a non-finite value, yields no subgraph and no scores,
     and the reason as its error.
     """
     params = ckpt.ranking_params()
@@ -256,11 +257,11 @@ def _per_patient_scores(g, ckpt, cohort, hops: int):
         try:
             sg = sample_phenotype_subgraph(g, rec.phenotypes, hops)
             with _finite("forward pass"):
-                bundle = forward(params, ckpt.model_config, sg)
+                edge_scores, gene_scores = forward(params, ckpt.model_config, sg)
         except (ValueError, TrainingError) as exc:
-            yield rec, None, None, f"patient {rec.patient_id}: {exc}"
+            yield rec, None, None, None, f"patient {rec.patient_id}: {exc}"
             continue
-        yield rec, sg, bundle, None
+        yield rec, sg, edge_scores.data, gene_scores.data, None
 
 
 def _failure_exit(failed: list, total: int) -> int:
@@ -282,7 +283,7 @@ def cmd_predict(args) -> int:
     out_path = Path(args.out)
     failed = []
     with _replacing(out_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        for rec, sg, bundle, error in _per_patient_scores(g, ckpt, cohort, hops):
+        for rec, sg, _, gene_scores, error in _per_patient_scores(g, ckpt, cohort, hops):
             obj = {"id": rec.patient_id, "ranking": [], "scores": {}}
             if error:
                 obj["error"] = error
@@ -292,7 +293,7 @@ def cmd_predict(args) -> int:
                       file=sys.stderr)
             else:
                 scores = {g.node_keys[int(sg.local_nodes[gl])]: float(s)
-                          for gl, s in zip(sg.gene_locals, bundle.gene_scores.data)}
+                          for gl, s in zip(sg.gene_locals, gene_scores)}
                 obj["ranking"] = rank_genes(scores).order
                 obj["scores"] = {k: scores[k] for k in sorted(scores)}
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -325,12 +326,13 @@ def cmd_extract(args) -> int:
     pg_path = out_dir / "patient_graphs.jsonl"
     failed = []
     with _replacing(pg_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        for rec, sg, bundle, error in _per_patient_scores(g, ckpt, cohort, ecfg.hops):
+        for rec, sg, edge_scores, gene_scores, error in _per_patient_scores(
+                g, ckpt, cohort, ecfg.hops):
             if error:
                 obj = {"id": rec.patient_id, "nodes": [], "genes": [], "error": error}
                 failed.append(error)
             else:
-                pg = extract_patient_graph(sg, bundle, ecfg)
+                pg = extract_patient_graph(sg, edge_scores, gene_scores, ecfg)
                 obj = pg.to_json_obj(rec.patient_id, g.node_keys)
                 if args.dot:
                     arc_ids = {int(a) for a in sg.global_arc_id
@@ -437,6 +439,17 @@ def _ks(text: str) -> list:
     raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 1, got {text!r}")
 
 
+def _delta(text: str) -> float:
+    """The `--delta` value: a finite boost >= 0."""
+    try:
+        delta = float(text)
+        if 0 <= delta < np.inf:
+            return delta
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="phenorank",
@@ -511,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--external", required=True,
                    help="JSONL of per-patient external gene scores")
     p.add_argument("--patient-graphs", required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=_delta, required=True,
+                   help="boost for genes in the patient graph (finite, >= 0)")
     p.add_argument("--out", required=True)
     p.add_argument("--cohort", help="truth cohort for metrics")
     p.add_argument("--ks", type=_ks, default="1,5,10")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_fields
-from .model import ScoreBundle
 from .sampling import SampledSubgraph, _arcs_leaving, read_jsonl
 
 __all__ = ["ExtractionConfig", "PatientGraph", "compute_edge_threshold",
@@ -60,9 +59,12 @@ def compute_edge_threshold(edge_scores, percentile: float) -> float:
     return float(np.percentile(edge_scores, percentile, method="linear"))
 
 
-def extract_patient_graph(sg: SampledSubgraph, scores: ScoreBundle,
+def extract_patient_graph(sg: SampledSubgraph, edge_scores, gene_scores,
                           cfg: ExtractionConfig) -> PatientGraph:
     """Thresholded m-hop expansion over the sampled subgraph.
+
+    `edge_scores` holds the raw score of every arc of `sg`, `gene_scores`
+    the score of every candidate gene in `sg.gene_locals` order.
 
     Hops 1..m-1 expand every frontier node along qualifying arcs (raw edge
     score >= tau_edge, top-k1 per node); the final hop admits only genes
@@ -70,10 +72,10 @@ def extract_patient_graph(sg: SampledSubgraph, scores: ScoreBundle,
     score go to the smaller destination. Gene nodes reached at earlier
     hops stay in the node set but only final-hop genes count as selected.
     """
-    e = np.asarray(scores.edge_scores.data, dtype=np.float64)
+    e = np.asarray(edge_scores, dtype=np.float64)
     tau_edge = compute_edge_threshold(e, cfg.edge_percentile) if e.size else np.inf
     gene_passes = np.zeros(sg.n_nodes, dtype=bool)
-    gene_passes[scores.gene_locals] = scores.gene_scores.data >= cfg.gene_threshold
+    gene_passes[sg.gene_locals] = np.asarray(gene_scores) >= cfg.gene_threshold
 
     offsets = sg.arc_offsets
     frontiers = [np.unique(sg.phenotype_locals)]
@@ -139,6 +141,11 @@ def load_patient_graphs(path) -> dict:
 
 
 def load_external_scores(path) -> dict:
-    """Read external score JSONL: id -> {gene: score}."""
-    return {obj["id"]: {g: float(s) for g, s in obj["scores"].items()}
-            for _, obj in read_jsonl(path, {"id": "id", "scores": "numbers"})}
+    """Read external score JSONL: id -> {gene: score}; a line whose scores
+    are empty raises ValueError naming `path:line`."""
+    external = {}
+    for where, obj in read_jsonl(path, {"id": "id", "scores": "numbers"}):
+        if not obj["scores"]:
+            raise ValueError(f"{where}: \"scores\" is empty")
+        external[obj["id"]] = {g: float(s) for g, s in obj["scores"].items()}
+    return external

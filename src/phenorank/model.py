@@ -18,7 +18,7 @@ vector with a clamped penalty from incoming edge scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,8 @@ from .autodiff import Tensor
 from .config import check_fields
 from .sampling import SampledSubgraph
 
-__all__ = ["ModelConfig", "ModelParams", "ScoreBundle", "init_params",
-           "param_shapes", "gat_forward", "patient_representation", "score_edges",
-           "score_genes", "forward"]
+__all__ = ["ModelConfig", "init_params", "param_shapes", "gat_forward",
+           "patient_representation", "score_edges", "score_genes", "forward"]
 
 EDGE_MLP_HIDDEN = 64
 
@@ -67,43 +66,14 @@ class ModelConfig:
         return dims
 
 
-@dataclass
-class ModelParams:
-    """All learnable tensors, keyed by name."""
-
-    tensors: dict = field(default_factory=dict)
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self.tensors[name]
-
-    def arrays(self) -> dict:
-        return {k: t.data for k, t in self.tensors.items()}
-
-    @classmethod
-    def from_arrays(cls, arrays: dict) -> "ModelParams":
-        return cls({k: Tensor(v, trainable=True, name=k) for k, v in arrays.items()})
-
-    def copy(self) -> "ModelParams":
-        return ModelParams.from_arrays({k: v.copy() for k, v in self.arrays().items()})
-
-
-@dataclass
-class ScoreBundle:
-    node_embeddings_final: Tensor    # n_nodes x out_dim
-    attention_records: Tensor        # n_arcs x (layers * heads), self-loops excluded
-    patient_vec: Tensor              # out_dim
-    edge_scores: Tensor              # n_arcs raw MLP outputs
-    gene_scores: Tensor              # per candidate gene, aligned with gene_locals
-    gene_locals: np.ndarray
-
-
 def _glorot(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
     a = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=shape)
 
 
-def init_params(cfg: ModelConfig, node_count: int, rng: np.random.Generator) -> ModelParams:
-    """Glorot-uniform weights, normal(0, 0.1) query vector, zero biases.
+def init_params(cfg: ModelConfig, node_count: int, rng: np.random.Generator) -> dict:
+    """Name -> array of every learnable parameter: Glorot-uniform weights,
+    normal(0, 0.1) query vector, zero biases.
 
     The embedding table uses fan_in = fan_out = embed_dim so row magnitude
     does not shrink with graph size.
@@ -130,7 +100,7 @@ def init_params(cfg: ModelConfig, node_count: int, rng: np.random.Generator) -> 
     arrays["edge_mlp/b1"] = np.zeros(EDGE_MLP_HIDDEN)
     arrays["edge_mlp/W2"] = _glorot(rng, EDGE_MLP_HIDDEN, 1, (EDGE_MLP_HIDDEN, 1))
     arrays["edge_mlp/b2"] = np.zeros(1)
-    return ModelParams.from_arrays(arrays)
+    return arrays
 
 
 def param_shapes(cfg: ModelConfig, node_count: int) -> dict:
@@ -149,9 +119,12 @@ def param_shapes(cfg: ModelConfig, node_count: int) -> dict:
     return shapes
 
 
-def gat_forward(params: ModelParams, cfg: ModelConfig,
+def gat_forward(params: dict, cfg: ModelConfig,
                 sg: SampledSubgraph) -> tuple[Tensor, Tensor]:
     """Run the attention stack over a sampled subgraph.
+
+    `params` maps the names of `init_params` to arrays, or to the Tensors
+    a tape differentiates; every function below takes it the same way.
 
     Returns final node embeddings (n x out_dim) and per-arc attention
     records (n_arcs x layers*heads, layer-major then head). A self-loop is
@@ -187,11 +160,12 @@ def gat_forward(params: ModelParams, cfg: ModelConfig,
 
 
 def patient_representation(node_embeddings_final: Tensor, phenotype_locals,
-                           q: Tensor) -> Tensor:
+                           q) -> Tensor:
     """Scaled dot-product pooling over the phenotype rows only."""
     phenotype_locals = np.asarray(phenotype_locals, dtype=np.int64)
     if phenotype_locals.size == 0:
         raise ValueError("empty phenotype set")
+    q = ad.tensor(q)
     d = q.data.shape[0]
     hp = ad.gather_rows(node_embeddings_final, phenotype_locals)
     logits = ad.scale(ad.reshape(ad.matmul(hp, ad.reshape(q, (d, 1))), (-1,)),
@@ -201,7 +175,7 @@ def patient_representation(node_embeddings_final: Tensor, phenotype_locals,
 
 
 def score_edges(node_embeddings_final: Tensor, attention_records: Tensor,
-                p: Tensor, params: ModelParams, sg: SampledSubgraph) -> Tensor:
+                p: Tensor, params: dict, sg: SampledSubgraph) -> Tensor:
     """Raw per-arc scores from [Proj(A); p; |h_s - h_t|; h_s * h_t] -> MLP."""
     if sg.n_arcs == 0:
         return ad.tensor(np.zeros(0))
@@ -242,20 +216,13 @@ def score_genes(p: Tensor, node_embeddings_final: Tensor, edge_scores_raw: Tenso
     return ad.sub(cos, penalty)
 
 
-def forward(params: ModelParams, cfg: ModelConfig, sg: SampledSubgraph) -> ScoreBundle:
-    """Full model pass over one sampled subgraph."""
+def forward(params: dict, cfg: ModelConfig,
+            sg: SampledSubgraph) -> tuple[Tensor, Tensor]:
+    """Full model pass over one sampled subgraph: the raw score of every
+    arc, and the score of every candidate gene in `sg.gene_locals` order."""
     h, records = gat_forward(params, cfg, sg)
     p = patient_representation(h, sg.phenotype_locals, params["query"])
     e = score_edges(h, records, p, params, sg)
     if sg.gene_locals.size:
-        s_gene = score_genes(p, h, e, sg.gene_locals, cfg.penalty_weight, sg)
-    else:
-        s_gene = ad.tensor(np.zeros(0))
-    return ScoreBundle(
-        node_embeddings_final=h,
-        attention_records=records,
-        patient_vec=p,
-        edge_scores=e,
-        gene_scores=s_gene,
-        gene_locals=sg.gene_locals,
-    )
+        return e, score_genes(p, h, e, sg.gene_locals, cfg.penalty_weight, sg)
+    return e, ad.tensor(np.zeros(0))

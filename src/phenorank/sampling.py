@@ -10,6 +10,7 @@ negatives from the remaining arcs.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,8 +188,10 @@ def _is_id(x) -> bool:
 _KINDS = {
     "id": ("an ID", _is_id),
     "ids": ("a list of IDs", lambda v: isinstance(v, list) and all(map(_is_id, v))),
-    "numbers": ("an object of numbers", lambda v: isinstance(v, dict) and all(
-        isinstance(x, (int, float)) for x in v.values())),
+    # finite: NaN, infinities and integers beyond float range all fail the bound
+    "numbers": ("an object of finite numbers", lambda v: isinstance(v, dict) and all(
+        isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+        for x in v.values())),
 }
 
 
@@ -196,7 +199,7 @@ def read_jsonl(path, fields: dict):
     """Yield (`path:line`, object) for every non-blank line of a JSON Lines file.
 
     `fields` maps each required key to its kind: "id" (a string or an
-    integer), "ids" (a list of them) or "numbers" (an object of numbers).
+    integer), "ids" (a list of them) or "numbers" (an object of finite numbers).
     A line that is not UTF-8 or not JSON, or lacks a required key of its
     kind, raises ValueError naming `path:line`.
     """

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .config import check_fields, check_value
 from .kg import KnowledgeGraph
 from .losses import LossConfig, LossReport, gene_loss, subgraph_loss, total_loss
-from .model import ModelConfig, ModelParams, forward, init_params, param_shapes
+from .model import ModelConfig, forward, init_params, param_shapes
 from .sampling import (label_supervision_edges, sample_phenotype_subgraph,
                        shortest_path_arcs)
 
@@ -70,18 +70,21 @@ class TrainConfig:
 
 @dataclass
 class Checkpoint:
+    """Training state. `params`, `adam_m`, `adam_v` and `best_params` each
+    map the names of `init_params` to arrays, in its order."""
+
     model_config: ModelConfig
-    params: ModelParams
+    params: dict
     adam_m: dict
     adam_v: dict
     adam_step_count: int
     epoch: int
     seed: int
     sample_hops: int                # hop count the model was trained with
-    best_params: ModelParams | None = None
+    best_params: dict | None = None
     best_val_mrr: float = -1.0
 
-    def ranking_params(self) -> ModelParams:
+    def ranking_params(self) -> dict:
         """Best-validation parameters when tracked, else the final ones."""
         return self.best_params if self.best_params is not None else self.params
 
@@ -138,12 +141,12 @@ def _finite(what: str):
 
 
 def _patient_loss(params, mcfg, lcfg, sg, labels, causal_gene):
-    bundle = forward(params, mcfg, sg)
-    loss_sub, degenerate = subgraph_loss(bundle.edge_scores, labels, lcfg)
+    edge_scores, gene_scores = forward(params, mcfg, sg)
+    loss_sub, degenerate = subgraph_loss(edge_scores, labels, lcfg)
     if sg.gene_locals.size:
         pos = np.flatnonzero(sg.local_nodes[sg.gene_locals] == causal_gene)
         true_local = int(pos[0]) if pos.size else None
-        loss_g, hn = gene_loss(bundle.gene_scores, true_local, lcfg)
+        loss_g, hn = gene_loss(gene_scores, true_local, lcfg)
     else:
         loss_g, hn = ad.tensor(0.0), 0
     return total_loss(loss_sub, loss_g, lcfg, hard_negative_count=hn,
@@ -158,9 +161,9 @@ def _validation_mrr(params, mcfg, cohort, subgraphs) -> float:
         if rec.causal_gene is None or sg.gene_locals.size == 0:
             rrs.append(0.0)
             continue
-        bundle = forward(params, mcfg, sg)
+        _, gene_scores = forward(params, mcfg, sg)
         scores = {int(sg.local_nodes[gl]): float(s)
-                  for gl, s in zip(sg.gene_locals, bundle.gene_scores.data)}
+                  for gl, s in zip(sg.gene_locals, gene_scores.data)}
         ranking = rank_genes(scores)
         rank = ranking.rank_of.get(rec.causal_gene)
         rrs.append(0.0 if rank is None else 1.0 / rank)
@@ -207,11 +210,12 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
     ck = resume
     if ck is None:
         params = init_params(mcfg, g.node_count, np.random.default_rng([tcfg.seed, 0x1217]))
-        adam_m, adam_v = ({k: np.zeros_like(a) for k, a in params.arrays().items()}
+        adam_m, adam_v = ({k: np.zeros_like(a) for k, a in params.items()}
                           for _ in range(2))
         ck = Checkpoint(mcfg, params, adam_m, adam_v, adam_step_count=0, epoch=0,
                         seed=tcfg.seed, sample_hops=tcfg.sample_hops)
-    arrays = ck.params.arrays()
+    # the tape's leaves wrap the very arrays that adam_step updates in place
+    leaves = {k: ad.Tensor(a) for k, a in ck.params.items()}
     reports: list[LossReport] = []
     for epoch in range(ck.epoch, tcfg.epochs):
         lr = tcfg.lr_at(epoch)
@@ -225,11 +229,11 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
                                              np.random.default_rng([tcfg.seed ^ i, epoch]))
             with _finite(f"patient {rec.patient_id} at epoch {epoch}"):
                 with ad.Tape() as tape:
-                    loss_t, report = _patient_loss(ck.params, mcfg, lcfg, sg, labels,
+                    loss_t, report = _patient_loss(leaves, mcfg, lcfg, sg, labels,
                                                    rec.causal_gene)
-                grads = clip_gradients(tape.backward(loss_t), GRAD_CLIP_NORM)
+                grads = clip_gradients(tape.backward(loss_t, leaves), GRAD_CLIP_NORM)
                 ck.adam_step_count += 1
-                adam_step(arrays, grads, ck.adam_m, ck.adam_v, ck.adam_step_count, lr)
+                adam_step(ck.params, grads, ck.adam_m, ck.adam_v, ck.adam_step_count, lr)
             sub_sum += report.loss_sub
             gene_sum += report.loss_gene
             tot_sum += report.loss_total
@@ -245,7 +249,7 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
                 val_mrr = _validation_mrr(ck.params, mcfg, val_cohort, val_subgraphs)
             if val_mrr > ck.best_val_mrr:
                 ck.best_val_mrr = val_mrr
-                ck.best_params = ck.params.copy()
+                ck.best_params = {k: a.copy() for k, a in ck.params.items()}
         if progress:
             msg = (f"epoch {epoch:3d}  lr {lr:.2e}  loss {epoch_report.loss_total:.4f}"
                    f"  (sub {epoch_report.loss_sub:.4f} gene {epoch_report.loss_gene:.4f})")
@@ -322,21 +326,21 @@ def _stored(val: float, kind: str):
     return int(val) if kind == "int" and val.is_integer() else val
 
 
+# Each stored array group: its name prefix and the Checkpoint field that
+# holds it. Only best/ may be absent.
+_GROUPS = {"param/": "params", "adam/m/": "adam_m", "adam/v/": "adam_v",
+           "best/": "best_params"}
+
+
 def save_checkpoint(ckpt: Checkpoint, path):
     tensors = {}
     for k, v in asdict(ckpt.model_config).items():
         tensors[f"config/{k}"] = np.float64(v)
-    for k, a in ckpt.params.arrays().items():
-        tensors[f"param/{k}"] = a
-    for k, a in ckpt.adam_m.items():
-        tensors[f"adam/m/{k}"] = a
-    for k, a in ckpt.adam_v.items():
-        tensors[f"adam/v/{k}"] = a
+    for prefix, field in _GROUPS.items():
+        for k, a in (getattr(ckpt, field) or {}).items():
+            tensors[prefix + k] = a
     for name, (field, _, _) in _SCALARS.items():
         tensors[name] = np.float64(getattr(ckpt, field))
-    if ckpt.best_params is not None:
-        for k, a in ckpt.best_params.arrays().items():
-            tensors[f"best/{k}"] = a
     Path(path).write_bytes(_pack_tensors(tensors))
 
 
@@ -351,7 +355,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 def _checkpoint_from_tensors(tensors: dict) -> Checkpoint:
     cfg_kwargs = {}
-    groups = {"param/": {}, "adam/m/": {}, "adam/v/": {}, "best/": {}}
+    groups = {prefix: {} for prefix in _GROUPS}
     for name, arr in tensors.items():
         prefix = next((p for p in groups if name.startswith(p)), None)
         if name.startswith("config/"):
@@ -370,7 +374,7 @@ def _checkpoint_from_tensors(tensors: dict) -> Checkpoint:
         scalars[field] = _stored(tensors[name].item(), kind)
         check_value(name, scalars[field], kind, rule)
     mcfg = ModelConfig(**cfg_kwargs)
-    params, best = groups["param/"], groups["best/"]
+    params = groups["param/"]
     if mcfg.layers > len(params):        # a corrupt count; keeps the layout small
         raise CheckpointError(f"config/layers {mcfg.layers} exceeds the "
                               f"{len(params)} stored param/ tensors")
@@ -389,11 +393,8 @@ def _checkpoint_from_tensors(tensors: dict) -> Checkpoint:
                                       f"the stored config needs {expected[k]}")
             if not np.isfinite(group[k]).all():
                 raise CheckpointError(f"{prefix}{k} holds a non-finite value")
-    return Checkpoint(
-        model_config=mcfg,
-        params=ModelParams.from_arrays(params),
-        adam_m=groups["adam/m/"],
-        adam_v=groups["adam/v/"],
-        best_params=ModelParams.from_arrays(best) if best else None,
-        **scalars,
-    )
+        # init_params order, not the file's name order: gradients follow it,
+        # and clip_gradients sums their squared norms in that order
+        groups[prefix] = {k: group[k] for k in expected}
+    return Checkpoint(model_config=mcfg, **scalars,
+                      **{field: groups[prefix] or None for prefix, field in _GROUPS.items()})

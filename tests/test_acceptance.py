@@ -21,7 +21,7 @@ from phenorank.extraction import (ExtractionConfig, PatientGraph,
 from phenorank.kg import load_graph
 from phenorank.losses import LossConfig, gene_loss, subgraph_loss, total_loss
 from phenorank.metrics import (hits_at_k, inclusion_rate, mrr, rank_genes)
-from phenorank.model import ModelConfig, ModelParams, forward, init_params
+from phenorank.model import ModelConfig, forward, init_params
 from phenorank.sampling import (label_supervision_edges, load_cohort,
                                 sample_phenotype_subgraph, shortest_path_arcs)
 from phenorank.synthetic import SynthConfig, generate_dataset
@@ -29,7 +29,7 @@ from phenorank.training import (CheckpointError, TrainConfig, load_checkpoint,
                                 save_checkpoint, train)
 
 from conftest import write_graph
-from test_extraction import fake_bundle, oracle_extract, sampled
+from test_extraction import fake_scores, oracle_extract, sampled
 
 
 def record(num, name, ok, detail=""):
@@ -53,9 +53,9 @@ def train_and_eval(scfg, mcfg, tcfg, tmp_path, tag):
     rankings, truths, baselines = [], [], []
     for rec in test_cohort:
         sg = sample_phenotype_subgraph(g, rec.phenotypes, tcfg.sample_hops)
-        bundle = forward(params, ckpt.model_config, sg)
+        _, gene_scores = forward(params, ckpt.model_config, sg)
         scores = {int(sg.local_nodes[gl]): float(s)
-                  for gl, s in zip(sg.gene_locals, bundle.gene_scores.data)}
+                  for gl, s in zip(sg.gene_locals, gene_scores.data)}
         rankings.append(rank_genes(scores))
         truths.append(rec.causal_gene)
         baselines.append(100.0 * min(1.0, 10.0 / len(scores)))
@@ -99,17 +99,18 @@ def test_criterion_1_gradient_fidelity(tmp_path):
         sg.local_nodes[sg.gene_locals] == causal)[0])
     mcfg = ModelConfig(embed_dim=6, hidden_dim=6, out_dim=4, heads=2, layers=2,
                        attn_proj_dim=4)
-    params = init_params(mcfg, g.node_count, np.random.default_rng(0))
+    params = {k: ad.Tensor(a) for k, a in
+              init_params(mcfg, g.node_count, np.random.default_rng(0)).items()}
 
     def loss_fn(tensor_map):
-        bundle = forward(ModelParams(tensor_map), mcfg, sg)
-        l_sub, degenerate = subgraph_loss(bundle.edge_scores, labels, lcfg)
-        l_gene, hn = gene_loss(bundle.gene_scores, true_local, lcfg)
+        edge_scores, gene_scores = forward(tensor_map, mcfg, sg)
+        l_sub, degenerate = subgraph_loss(edge_scores, labels, lcfg)
+        l_gene, hn = gene_loss(gene_scores, true_local, lcfg)
         total, _ = total_loss(l_sub, l_gene, lcfg, hn, degenerate)
         return total
 
     t0 = time.monotonic()
-    err = ad.grad_check(loss_fn, params.tensors, n_samples=20,
+    err = ad.grad_check(loss_fn, params, n_samples=20,
                         rng=np.random.default_rng(1))
     elapsed = time.monotonic() - t0
     record(1, "gradient fidelity", err <= 1e-4 and elapsed < 60.0,
@@ -126,7 +127,7 @@ def test_criterion_2_extraction_matches_reference(tmp_path):
         n = int(rng.integers(15, 80))
         sg = sampled(tmp_path, rng, n=n, e=int(2.5 * n),
                      m=int(rng.integers(2, 4)), name=f"c2_{trial}")
-        bundle = fake_bundle(sg, rng)
+        scores = fake_scores(sg, rng)
         cfg = ExtractionConfig(
             hops=int(rng.integers(1, 4)),
             top_k_edges=int(rng.integers(1, 7)),
@@ -134,8 +135,8 @@ def test_criterion_2_extraction_matches_reference(tmp_path):
             edge_percentile=float(rng.uniform(10, 95)),
             gene_threshold=float(rng.uniform(-0.5, 0.8)),
         )
-        pg = extract_patient_graph(sg, bundle, cfg)
-        nodes, _, final = oracle_extract(sg, bundle, cfg)
+        pg = extract_patient_graph(sg, *scores, cfg)
+        nodes, _, final = oracle_extract(sg, *scores, cfg)
         if pg.nodes != nodes or pg.selected_genes != final:
             all_equal = False
             break
@@ -261,10 +262,10 @@ def test_criterion_7_gene_threshold_antitone(tmp_path):
     antitone = True
     for trial in range(50):
         sg = sampled(tmp_path, rng, n=50, e=130, m=2, name=f"c7_{trial}")
-        bundle = fake_bundle(sg, rng)
-        lo = extract_patient_graph(sg, bundle,
+        scores = fake_scores(sg, rng)
+        lo = extract_patient_graph(sg, *scores,
                                    ExtractionConfig(gene_threshold=0.5))
-        hi = extract_patient_graph(sg, bundle,
+        hi = extract_patient_graph(sg, *scores,
                                    ExtractionConfig(gene_threshold=0.9))
         antitone &= len(hi.selected_genes) <= len(lo.selected_genes)
     record(7, "gene threshold antitone", antitone, "50 patients")

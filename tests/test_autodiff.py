@@ -7,10 +7,6 @@ from phenorank import autodiff as ad
 from phenorank.autodiff import ShapeError, Tape, Tensor, grad_check
 
 
-def leaf(arr, name="x"):
-    return Tensor(arr, trainable=True, name=name)
-
-
 def test_matmul_matches_naive_loop(rng):
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 2))
@@ -60,40 +56,52 @@ def test_abs_diff_of_identical_is_zero(rng):
 
 
 def test_product_gradient():
-    x, y = leaf(np.array(2.0), "x"), leaf(np.array(3.0), "y")
+    x, y = Tensor(2.0), Tensor(3.0)
     with Tape() as tape:
         z = ad.mul(x, y)
-    grads = tape.backward(z)
+    grads = tape.backward(z, {"x": x, "y": y})
     assert grads["x"] == pytest.approx(3.0)
     assert grads["y"] == pytest.approx(2.0)
 
 
 def test_l2_norm_gradient_is_unit_direction(rng):
     v = rng.standard_normal(5)
-    x = leaf(v)
+    x = Tensor(v)
     with Tape() as tape:
         n = ad.sum_(ad.row_l2_norm(ad.reshape(x, (1, 5))))
-    grads = tape.backward(n)
+    grads = tape.backward(n, {"x": x})
     assert np.allclose(grads["x"], v / np.linalg.norm(v), atol=1e-12)
 
 
 def test_backward_rejects_nonscalar_root():
-    x = leaf(np.ones(3))
+    x = Tensor(np.ones(3))
     with Tape() as tape:
         y = ad.relu(x)
     with pytest.raises(ShapeError, match="scalar"):
-        tape.backward(y)
+        tape.backward(y, {"x": x})
+
+
+def test_backward_returns_grads_in_wrt_order_and_skips_unreached():
+    a, b, c, unused = (Tensor(v) for v in (1.0, 2.0, 3.0, 4.0))
+    with Tape() as tape:
+        # records meet c first, then a, then b
+        y = ad.mul(ad.add(c, a), b)
+        ad.sum_(unused)                # on the tape, but not under y
+    grads = tape.backward(y, {"b": b, "unused": unused, "a": a, "c": c})
+    assert list(grads) == ["b", "a", "c"]
+    assert (grads["a"], grads["b"], grads["c"]) == (2.0, 4.0, 2.0)
+    assert list(tape.backward(y, {"c": c, "a": a, "b": b})) == ["c", "a", "b"]
 
 
 def test_quadratic_grad_check_is_exact(rng):
-    params = {"x": leaf(rng.standard_normal(6))}
+    params = {"x": Tensor(rng.standard_normal(6))}
     err = grad_check(lambda p: ad.sum_(ad.mul(p["x"], p["x"])), params)
     assert err <= 1e-8
 
 
 def test_grad_check_rejects_nonpositive_step():
     with pytest.raises(ValueError):
-        grad_check(lambda p: ad.sum_(p["x"]), {"x": leaf(np.ones(2))}, h=0.0)
+        grad_check(lambda p: ad.sum_(p["x"]), {"x": Tensor(np.ones(2))}, h=0.0)
 
 
 PRIMITIVES = [
@@ -134,7 +142,7 @@ def test_primitive_gradients(name, f, rng):
     b = rng.standard_normal(20)
     a[np.abs(a) < 0.05] = 0.1
     a[np.abs(np.abs(a) - 0.4) < 0.05] = 0.2
-    params = {"a": leaf(a, "a"), "b": leaf(b, "b")}
+    params = {"a": Tensor(a), "b": Tensor(b)}
     assert grad_check(f, params, rng=rng) <= 1e-6
 
 
@@ -155,11 +163,11 @@ def test_sum_axis_drops_the_axis(rng):
 
 
 def test_gradients_are_not_left_on_tensors():
-    x = leaf(np.array([1.0, 2.0]))
+    x = Tensor([1.0, 2.0])
     with Tape() as tape:
         y = ad.sum_(ad.mul(x, x))
-    first = tape.backward(y)["x"]
-    second = tape.backward(y)["x"]
+    first = tape.backward(y, {"x": x})["x"]
+    second = tape.backward(y, {"x": x})["x"]
     assert np.array_equal(first, [2.0, 4.0])
     assert np.array_equal(second, first)
     assert not hasattr(x, "grad")
@@ -226,7 +234,7 @@ def test_segment_max_equals_maximum_at(data, trailing):
 
 def forward_and_vjp(op, a, g):
     with Tape() as tape:
-        out = op(leaf(a))
+        out = op(Tensor(a))
     (grad,) = tape.records[-1][2](g)
     return out.data, grad
 

@@ -563,6 +563,13 @@ GOOD_LINES = {
     ("external", '{"id": "b", "scores": 5}'),
     ("external", '{"scores": {}}'),
     ("external", '[1, 2]'),
+    # a score must be finite, and a patient needs at least one
+    ("predictions", '{"id": "b", "ranking": ["G1"], "scores": {"G1": NaN}}'),
+    ("external", '{"id": "b", "scores": {"G1": NaN, "G2": 0.5}}'),
+    ("external", '{"id": "b", "scores": {"G1": -Infinity}}'),
+    ("external", '{"id": "b", "scores": {"G1": 1e400}}'),
+    ("external", '{"id": "b", "scores": {"G1": 1%s}}' % ("0" * 400)),
+    ("external", '{"id": "b", "scores": {}}'),
 ])
 def test_malformed_jsonl_line_names_path_and_line(tmp_path, capsys, kind, bad_line):
     files = {}
@@ -676,6 +683,16 @@ def test_bad_ks_is_a_usage_error_before_any_work(tmp_path, capsys, argv):
         inputs += ["--patient-graphs", str(pgs)]
     assert main(argv + inputs) == 2
     assert "--ks" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "-1", "-0.5", "x"])
+def test_bad_delta_is_a_usage_error_before_any_work(tmp_path, capsys, delta):
+    missing = str(tmp_path / "missing.jsonl")          # never opened
+    out = tmp_path / "out.jsonl"
+    assert main(["fuse", f"--delta={delta}", "--external", missing,
+                 "--patient-graphs", missing, "--out", str(out)]) == 2
+    assert "--delta" in capsys.readouterr().err
     assert not out.exists()
 
 

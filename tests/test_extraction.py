@@ -1,11 +1,9 @@
 import logging
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from phenorank import autodiff as ad
 from phenorank.extraction import (ExtractionConfig, PatientGraph,
                                   compute_edge_threshold, extract_patient_graph,
                                   fuse_scores, load_external_scores,
@@ -16,14 +14,10 @@ from phenorank.sampling import sample_phenotype_subgraph
 from conftest import random_graph, write_graph
 
 
-def fake_bundle(sg, rng, gene_low=-1.0, gene_high=1.0):
+def fake_scores(sg, rng, gene_low=-1.0, gene_high=1.0):
     """Random raw edge scores and gene scores shaped like a model pass."""
-    return SimpleNamespace(
-        edge_scores=ad.tensor(rng.standard_normal(sg.n_arcs)),
-        gene_locals=sg.gene_locals,
-        gene_scores=ad.tensor(rng.uniform(gene_low, gene_high,
-                                          size=sg.gene_locals.size)),
-    )
+    return (rng.standard_normal(sg.n_arcs),
+            rng.uniform(gene_low, gene_high, size=sg.gene_locals.size))
 
 
 def percentile_oracle(xs, p):
@@ -37,12 +31,11 @@ def percentile_oracle(xs, p):
     return s[lo] + (s[lo + 1] - s[lo]) * frac
 
 
-def oracle_extract(sg, bundle, cfg):
+def oracle_extract(sg, edge_scores, gene_scores, cfg):
     """Reference expansion written over plain dicts."""
-    e = [float(x) for x in bundle.edge_scores.data]
+    e = [float(x) for x in edge_scores]
     tau = percentile_oracle(e, cfg.edge_percentile) if e else float("inf")
-    gscore = {int(g): float(s)
-              for g, s in zip(bundle.gene_locals, bundle.gene_scores.data)}
+    gscore = {int(g): float(s) for g, s in zip(sg.gene_locals, gene_scores)}
     adj = {}
     for a in range(sg.n_arcs):
         adj.setdefault(int(sg.local_src[a]), []).append((e[a], int(sg.local_dst[a])))
@@ -107,10 +100,10 @@ def test_config_validation():
 
 def test_no_qualifying_arcs_keeps_only_phenotypes(tmp_path, rng):
     sg = sampled(tmp_path, rng, m=2)
-    bundle = fake_bundle(sg, rng)
+    scores = fake_scores(sg, rng)
     # raise the gene threshold above every score; edge percentile at 99
     cfg = ExtractionConfig(hops=2, edge_percentile=99.0, gene_threshold=2.0)
-    pg = extract_patient_graph(sg, bundle, cfg)
+    pg = extract_patient_graph(sg, *scores, cfg)
     assert pg.selected_genes == set()
     phen_global = {int(sg.local_nodes[p]) for p in sg.phenotype_locals}
     assert phen_global <= pg.nodes
@@ -127,11 +120,10 @@ def test_star_final_hop_caps_at_top_k2(tmp_path, rng):
     for a in range(sg.n_arcs):
         if int(sg.local_src[a]) == 0:
             e[a] = 6 - int(sg.local_dst[a])
-    bundle = SimpleNamespace(edge_scores=ad.tensor(e), gene_locals=sg.gene_locals,
-                             gene_scores=ad.tensor(np.ones(6)))
+    scores = (e, np.ones(6))
     cfg = ExtractionConfig(hops=1, top_k_genes=2, edge_percentile=1.0,
                            gene_threshold=0.5)
-    pg = extract_patient_graph(sg, bundle, cfg)
+    pg = extract_patient_graph(sg, *scores, cfg)
     # highest-scoring arcs point at the smallest local gene IDs (globals 1, 2)
     assert pg.selected_genes == {1, 2}
 
@@ -143,11 +135,10 @@ def test_tie_break_prefers_smaller_destination(tmp_path):
     g = load_graph(*write_graph(tmp_path, nodes, edges))
     sg = sample_phenotype_subgraph(g, {0}, 1)
     e = np.zeros(sg.n_arcs)  # all scores tie
-    bundle = SimpleNamespace(edge_scores=ad.tensor(e), gene_locals=sg.gene_locals,
-                             gene_scores=ad.tensor(np.ones(4)))
+    scores = (e, np.ones(4))
     cfg = ExtractionConfig(hops=1, top_k_genes=2, edge_percentile=50.0,
                            gene_threshold=0.5)
-    pg = extract_patient_graph(sg, bundle, cfg)
+    pg = extract_patient_graph(sg, *scores, cfg)
     assert pg.selected_genes == {1, 2}
 
 
@@ -157,7 +148,7 @@ def test_matches_reference_on_200_random_instances(tmp_path, rng):
         n = int(rng.integers(15, 70))
         sg = sampled(tmp_path, rng, n=n, e=int(2.5 * n),
                      m=int(rng.integers(2, 4)), name=f"t{trial}")
-        bundle = fake_bundle(sg, rng)
+        scores = fake_scores(sg, rng)
         cfg = ExtractionConfig(
             hops=int(rng.integers(1, 4)),
             top_k_edges=int(rng.integers(1, 6)),
@@ -165,8 +156,8 @@ def test_matches_reference_on_200_random_instances(tmp_path, rng):
             edge_percentile=float(rng.uniform(10, 95)),
             gene_threshold=float(rng.uniform(-0.5, 0.8)),
         )
-        pg = extract_patient_graph(sg, bundle, cfg)
-        nodes, hops, final = oracle_extract(sg, bundle, cfg)
+        pg = extract_patient_graph(sg, *scores, cfg)
+        nodes, hops, final = oracle_extract(sg, *scores, cfg)
         assert pg.nodes == nodes
         assert pg.selected_genes == final
         assert [set(h) for h in pg.frontier_by_hop] == hops
@@ -177,22 +168,22 @@ def test_gene_threshold_antitone_without_cap(tmp_path, rng):
     # with the per-node cap slack, raising tau_gene can only shrink the set
     for trial in range(20):
         sg = sampled(tmp_path, rng, name=f"a{trial}")
-        bundle = fake_bundle(sg, rng)
+        scores = fake_scores(sg, rng)
         cfg_lo = ExtractionConfig(hops=2, top_k_edges=5, top_k_genes=100,
                                   gene_threshold=0.1)
         cfg_hi = ExtractionConfig(hops=2, top_k_edges=5, top_k_genes=100,
                                   gene_threshold=0.6)
-        lo = extract_patient_graph(sg, bundle, cfg_lo).selected_genes
-        hi = extract_patient_graph(sg, bundle, cfg_hi).selected_genes
+        lo = extract_patient_graph(sg, *scores, cfg_lo).selected_genes
+        hi = extract_patient_graph(sg, *scores, cfg_hi).selected_genes
         assert hi <= lo
 
 
 def test_extraction_is_deterministic(tmp_path, rng):
     sg = sampled(tmp_path, rng)
-    bundle = fake_bundle(sg, rng)
+    scores = fake_scores(sg, rng)
     cfg = ExtractionConfig()
-    a = extract_patient_graph(sg, bundle, cfg)
-    b = extract_patient_graph(sg, bundle, cfg)
+    a = extract_patient_graph(sg, *scores, cfg)
+    b = extract_patient_graph(sg, *scores, cfg)
     assert a.nodes == b.nodes and a.selected_genes == b.selected_genes
 
 

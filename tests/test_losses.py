@@ -108,7 +108,7 @@ def test_subgraph_loss_gradient(rng):
     sup = labels([0, 4], [1, 2, 6])
     base = rng.standard_normal(12)
     base[np.abs(base) < 0.05] = 0.1  # keep away from |e| and relu kinks
-    params = {"e": ad.Tensor(base, trainable=True, name="e")}
+    params = {"e": ad.Tensor(base)}
     err = ad.grad_check(lambda p: subgraph_loss(p["e"], sup, cfg)[0], params)
     assert err <= 1e-6
 
@@ -191,7 +191,7 @@ def test_gene_loss_monotone_in_hard_negative_score():
 def test_gene_loss_gradient(rng):
     cfg = LossConfig(gene_beta=4.0)
     scores = np.array([0.2, 0.9, 1.1, -0.5, 0.65])
-    params = {"s": ad.Tensor(scores, trainable=True, name="s")}
+    params = {"s": ad.Tensor(scores)}
     err = ad.grad_check(lambda p: gene_loss(p["s"], 0, cfg)[0], params)
     assert err <= 1e-6
 

@@ -23,16 +23,16 @@ def sampled(tmp_path, rng, n=40, e=100, m=2, name="m"):
 def test_init_same_seed_bit_identical(small_model_config):
     p1 = init_params(small_model_config, 20, np.random.default_rng(9))
     p2 = init_params(small_model_config, 20, np.random.default_rng(9))
-    for k in p1.arrays():
-        assert np.array_equal(p1.arrays()[k], p2.arrays()[k])
+    for k in p1:
+        assert np.array_equal(p1[k], p2[k])
 
 
 def test_init_different_seeds_differ(small_model_config):
     p1 = init_params(small_model_config, 20, np.random.default_rng(1))
     p2 = init_params(small_model_config, 20, np.random.default_rng(2))
-    a1 = np.concatenate([v.reshape(-1) for k, v in sorted(p1.arrays().items())
+    a1 = np.concatenate([v.reshape(-1) for k, v in sorted(p1.items())
                          if not k.startswith("edge_mlp/b")])
-    a2 = np.concatenate([v.reshape(-1) for k, v in sorted(p2.arrays().items())
+    a2 = np.concatenate([v.reshape(-1) for k, v in sorted(p2.items())
                          if not k.startswith("edge_mlp/b")])
     assert np.mean(a1 != a2) >= 0.99
 
@@ -40,13 +40,14 @@ def test_init_different_seeds_differ(small_model_config):
 @pytest.mark.parametrize("layers", [1, 3])
 def test_param_shapes_match_init_params(small_model_config, layers):
     cfg = ModelConfig(**{**small_model_config.__dict__, "layers": layers})
-    arrays = init_params(cfg, 17, np.random.default_rng(0)).arrays()
+    arrays = init_params(cfg, 17, np.random.default_rng(0))
     assert param_shapes(cfg, 17) == {k: a.shape for k, a in arrays.items()}
+    assert list(param_shapes(cfg, 17)) == list(arrays)      # same order too
 
 
 def test_init_shapes(small_model_config):
     cfg = small_model_config
-    arrays = init_params(cfg, 17, np.random.default_rng(0)).arrays()
+    arrays = init_params(cfg, 17, np.random.default_rng(0))
     assert arrays["embed"].shape == (17, cfg.embed_dim)
     for l, (d_in, d_out) in enumerate(cfg.layer_dims()):
         assert arrays[f"layer{l}/W"].shape == (d_in, cfg.heads * cfg.head_dim)
@@ -64,7 +65,7 @@ def test_init_shapes(small_model_config):
 def test_init_stacks_the_per_head_draws(small_model_config):
     """A seed gives the weights of drawing each head's W then a in turn."""
     cfg, n, hd = small_model_config, 17, small_model_config.head_dim
-    arrays = init_params(cfg, n, np.random.default_rng(4)).arrays()
+    arrays = init_params(cfg, n, np.random.default_rng(4))
     rng = np.random.default_rng(4)
 
     def glorot(fan_in, fan_out, shape):
@@ -114,7 +115,7 @@ def test_identical_embeddings_give_identical_outputs(tmp_path, small_model_confi
     g = load_graph(*write_graph(tmp_path, nodes, edges))
     sg = sample_phenotype_subgraph(g, {0, 1}, 1)
     params = init_params(small_model_config, 2, np.random.default_rng(0))
-    params["embed"].data[1] = params["embed"].data[0]
+    params["embed"][1] = params["embed"][0]
     h, _ = gat_forward(params, small_model_config, sg)
     assert np.allclose(h.data[0], h.data[1], atol=1e-12)
 
@@ -168,7 +169,7 @@ def test_encoder_matches_dense_oracle(tmp_path, rng, small_model_config):
     cfg = small_model_config
     params = init_params(cfg, g.node_count, np.random.default_rng(3))
     h, records = gat_forward(params, cfg, sg)
-    h_ref, rec_ref = dense_gat_oracle(params.arrays(), cfg, sg)
+    h_ref, rec_ref = dense_gat_oracle(params, cfg, sg)
     assert np.max(np.abs(h.data - h_ref)) <= 1e-10
     assert np.max(np.abs(records.data - rec_ref)) <= 1e-10
 
@@ -190,7 +191,7 @@ def test_attention_sums_to_one_per_destination(tmp_path, rng, small_model_config
             # arc attention plus the (unrecorded) self-loop share must be 1
             assert np.all(per_dst <= 1.0 + 1e-10)
     # full check including self-loops via the dense oracle
-    _, rec_ref = dense_gat_oracle(params.arrays(), cfg, sg)
+    _, rec_ref = dense_gat_oracle(params, cfg, sg)
     assert np.max(np.abs(rec - rec_ref)) <= 1e-10
 
 
@@ -249,20 +250,27 @@ def test_empty_phenotype_set_rejected(rng):
 
 # ------------------------------------------------------------------- scoring
 
+def encoded(params, cfg, sg):
+    """Final node embeddings, attention records and patient vector, as
+    forward computes them."""
+    h, records = gat_forward(params, cfg, sg)
+    return h.data, records.data, patient_representation(
+        h, sg.phenotype_locals, params["query"]).data
+
+
 def test_edge_scores_match_direct_formula(tmp_path, rng, small_model_config):
     g, sg = sampled(tmp_path, rng, n=20, e=50)
     cfg = small_model_config
     params = init_params(cfg, g.node_count, np.random.default_rng(5))
-    bundle = forward(params, cfg, sg)
-    arrays = params.arrays()
-    proj = bundle.attention_records.data @ arrays["attn_proj"]
-    h = bundle.node_embeddings_final.data
+    edge_scores, _ = forward(params, cfg, sg)
+    h, records, p = encoded(params, cfg, sg)
+    proj = records @ params["attn_proj"]
     hs, ht = h[sg.local_src], h[sg.local_dst]
-    x = np.concatenate([proj, np.tile(bundle.patient_vec.data, (sg.n_arcs, 1)),
+    x = np.concatenate([proj, np.tile(p, (sg.n_arcs, 1)),
                         np.abs(hs - ht), hs * ht], axis=1)
-    hid = np.maximum(x @ arrays["edge_mlp/W1"] + arrays["edge_mlp/b1"], 0)
-    ref = (hid @ arrays["edge_mlp/W2"] + arrays["edge_mlp/b2"])[:, 0]
-    assert np.max(np.abs(bundle.edge_scores.data - ref)) <= 1e-12
+    hid = np.maximum(x @ params["edge_mlp/W1"] + params["edge_mlp/b1"], 0)
+    ref = (hid @ params["edge_mlp/W2"] + params["edge_mlp/b2"])[:, 0]
+    assert np.max(np.abs(edge_scores.data - ref)) <= 1e-12
 
 
 def test_identical_endpoints_zero_abs_diff_block(tmp_path, small_model_config):
@@ -272,10 +280,10 @@ def test_identical_endpoints_zero_abs_diff_block(tmp_path, small_model_config):
     sg = sample_phenotype_subgraph(g, {0, 1}, 1)
     cfg = small_model_config
     params = init_params(cfg, 2, np.random.default_rng(0))
-    params["embed"].data[1] = params["embed"].data[0]
-    bundle = forward(params, cfg, sg)
+    params["embed"][1] = params["embed"][0]
+    edge_scores, _ = forward(params, cfg, sg)
     # symmetric two-node graph with equal embeddings: both arcs identical
-    assert bundle.edge_scores.data[0] == pytest.approx(bundle.edge_scores.data[1])
+    assert edge_scores.data[0] == pytest.approx(edge_scores.data[1])
 
 
 def test_gene_scores_match_direct_formula(tmp_path, rng, small_model_config):
@@ -284,12 +292,11 @@ def test_gene_scores_match_direct_formula(tmp_path, rng, small_model_config):
         pytest.skip("no genes sampled")
     cfg = small_model_config
     params = init_params(cfg, g.node_count, np.random.default_rng(6))
-    bundle = forward(params, cfg, sg)
-    p = bundle.patient_vec.data
-    h = bundle.node_embeddings_final.data
-    sig = 1.0 / (1.0 + np.exp(-bundle.edge_scores.data))
+    edge_scores, gene_scores = forward(params, cfg, sg)
+    h, _, p = encoded(params, cfg, sg)
+    sig = 1.0 / (1.0 + np.exp(-edge_scores.data))
     lam = cfg.penalty_weight
-    for out, gl in zip(bundle.gene_scores.data, sg.gene_locals):
+    for out, gl in zip(gene_scores.data, sg.gene_locals):
         incoming = sig[sg.local_dst == gl]
         base = p @ h[gl] / (np.linalg.norm(p) * np.linalg.norm(h[gl]))
         ref = base - lam * (1 - np.clip(incoming.mean(), 0, 1))
@@ -303,10 +310,9 @@ def test_zero_penalty_weight_gives_pure_cosine(tmp_path, rng):
     if sg.gene_locals.size == 0:
         pytest.skip("no genes sampled")
     params = init_params(cfg, g.node_count, np.random.default_rng(6))
-    bundle = forward(params, cfg, sg)
-    h = bundle.node_embeddings_final.data
-    p = bundle.patient_vec.data
-    for out, gl in zip(bundle.gene_scores.data, sg.gene_locals):
+    _, gene_scores = forward(params, cfg, sg)
+    h, _, p = encoded(params, cfg, sg)
+    for out, gl in zip(gene_scores.data, sg.gene_locals):
         cos = p @ h[gl] / (np.linalg.norm(p) * np.linalg.norm(h[gl]))
         assert out == pytest.approx(cos, abs=1e-12)
 
@@ -317,21 +323,20 @@ def test_gene_score_bounds_and_monotonicity(tmp_path, rng, small_model_config):
         pytest.skip("no genes sampled")
     cfg = small_model_config
     params = init_params(cfg, g.node_count, np.random.default_rng(2))
-    bundle = forward(params, cfg, sg)
+    e, gene_scores = forward(params, cfg, sg)
     lam = cfg.penalty_weight
-    assert np.all(bundle.gene_scores.data >= -1.0 - lam - 1e-12)
-    assert np.all(bundle.gene_scores.data <= 1.0 + 1e-12)
+    assert np.all(gene_scores.data >= -1.0 - lam - 1e-12)
+    assert np.all(gene_scores.data <= 1.0 + 1e-12)
 
     # raising one incoming raw score never lowers that gene's score
     gl = int(sg.gene_locals[0])
     arcs_in = np.flatnonzero(sg.local_dst == gl)
-    e = bundle.edge_scores
-    before = score_genes(bundle.patient_vec, bundle.node_embeddings_final,
-                         e, sg.gene_locals, lam, sg).data[0]
+    h, _, p = (ad.tensor(x) for x in encoded(params, cfg, sg))
+    before = score_genes(p, h, e, sg.gene_locals, lam, sg).data[0]
+    assert before == gene_scores.data[0]
     bumped = ad.tensor(e.data.copy())
     bumped.data[arcs_in[0]] += 2.0
-    after = score_genes(bundle.patient_vec, bundle.node_embeddings_final,
-                        bumped, sg.gene_locals, lam, sg).data[0]
+    after = score_genes(p, h, bumped, sg.gene_locals, lam, sg).data[0]
     assert after >= before - 1e-12
 
 

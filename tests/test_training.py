@@ -4,7 +4,7 @@ import pytest
 from phenorank import training
 from phenorank.kg import load_graph
 from phenorank.losses import LossConfig
-from phenorank.model import ModelConfig
+from phenorank.model import ModelConfig, param_shapes
 from phenorank.sampling import (PatientRecord, label_supervision_edges,
                                 shortest_path_arcs)
 from phenorank.training import (Checkpoint, CheckpointError, TrainConfig,
@@ -133,8 +133,8 @@ def test_training_is_bit_reproducible(tiny_setup, tmp_path):
     tcfg = quick_tcfg(epochs=3)
     ck1, r1 = train(g, cohort, SMALL, LossConfig(), tcfg)
     ck2, r2 = train(g, cohort, SMALL, LossConfig(), tcfg)
-    for k, a in ck1.params.arrays().items():
-        assert np.array_equal(a, ck2.params.arrays()[k]), k
+    for k, a in ck1.params.items():
+        assert np.array_equal(a, ck2.params[k]), k
     assert [r.loss_total for r in r1] == [r.loss_total for r in r2]
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(ck1, p1)
@@ -146,8 +146,8 @@ def test_different_seeds_diverge(tiny_setup):
     g, cohort = tiny_setup
     ck1, _ = train(g, cohort, SMALL, LossConfig(), quick_tcfg(seed=0))
     ck2, _ = train(g, cohort, SMALL, LossConfig(), quick_tcfg(seed=1))
-    assert not np.array_equal(ck1.params.arrays()["embed"],
-                              ck2.params.arrays()["embed"])
+    assert not np.array_equal(ck1.params["embed"],
+                              ck2.params["embed"])
 
 
 @pytest.mark.parametrize("val_fraction", [0.0, 0.34])
@@ -163,11 +163,11 @@ def test_resume_matches_uninterrupted_run(tiny_setup, tmp_path, val_fraction):
     assert resumed.epoch == 2
     ck, r = train(g, cohort, SMALL, LossConfig(), tcfg, resume=resumed)
     assert ck is resumed and ck.epoch == 4
-    for k, a in ck.params.arrays().items():
-        assert np.array_equal(a, full_ck.params.arrays()[k]), k
+    for k, a in ck.params.items():
+        assert np.array_equal(a, full_ck.params[k]), k
     if val_fraction:
-        for k, a in ck.best_params.arrays().items():
-            assert np.array_equal(a, full_ck.best_params.arrays()[k]), k
+        for k, a in ck.best_params.items():
+            assert np.array_equal(a, full_ck.best_params[k]), k
     else:
         assert ck.best_params is full_ck.best_params is None
     assert ck.best_val_mrr == full_ck.best_val_mrr
@@ -278,15 +278,27 @@ def test_checkpoint_round_trip(tiny_setup, tmp_path):
     assert back.adam_step_count == ck.adam_step_count
     assert back.epoch == ck.epoch and back.seed == ck.seed
     assert back.best_val_mrr == ck.best_val_mrr
-    for k, a in ck.params.arrays().items():
-        assert np.array_equal(a, back.params.arrays()[k])
+    for k, a in ck.params.items():
+        assert np.array_equal(a, back.params[k])
     for k, a in ck.adam_m.items():
         assert np.array_equal(a, back.adam_m[k])
     for k, a in ck.adam_v.items():
         assert np.array_equal(a, back.adam_v[k])
     if ck.best_params is not None:
-        for k, a in ck.best_params.arrays().items():
-            assert np.array_equal(a, back.best_params.arrays()[k])
+        for k, a in ck.best_params.items():
+            assert np.array_equal(a, back.best_params[k])
+
+
+def test_checkpoint_loads_every_group_in_param_shapes_order(tiny_setup, tmp_path):
+    # the file stores its tensors sorted by name; gradients follow the
+    # loaded order, and clip_gradients sums their norms in that order
+    ck = trained_checkpoint(tiny_setup)
+    save_checkpoint(ck, tmp_path / "m.ckpt")
+    back = load_checkpoint(tmp_path / "m.ckpt")
+    order = list(param_shapes(SMALL, tiny_setup[0].node_count))
+    assert order != sorted(order) and back.best_params is not None
+    for group in (back.params, back.adam_m, back.adam_v, back.best_params):
+        assert list(group) == order
 
 
 def test_checkpoint_single_byte_corruption_detected(tiny_setup, tmp_path):
