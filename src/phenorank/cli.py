@@ -323,6 +323,12 @@ def cmd_extract(args) -> int:
     _check_graph(ckpt, g, args.checkpoint)
     cohort = load_cohort(args.patients, g.key_to_id)
     out_dir = Path(args.out_dir)
+    if args.dot:
+        for rec in cohort:
+            pid = str(rec.patient_id)
+            if pid in ("", ".", "..") or any(c in pid for c in "/\\\0"):
+                raise ValueError(f"{args.patients}: patient id {pid!r} cannot name "
+                                 f"a DOT file inside {out_dir}")
     pg_path = out_dir / "patient_graphs.jsonl"
     failed = []
     with _replacing(pg_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
@@ -338,7 +344,8 @@ def cmd_extract(args) -> int:
                     arc_ids = {int(a) for a in sg.global_arc_id
                                if int(g.arc_src[a]) in pg.nodes
                                and int(g.arc_dst[a]) in pg.nodes}
-                    export_dot(g, pg.nodes, arc_ids, out_dir / f"{rec.patient_id}.dot")
+                    with _replacing(out_dir / f"{rec.patient_id}.dot") as tmp:
+                        export_dot(g, pg.nodes, arc_ids, tmp)
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
     inputs = {"nodes": args.nodes, "edges": args.edges,
               "patients": args.patients, "checkpoint": args.checkpoint}
@@ -400,9 +407,13 @@ def cmd_fuse(args) -> int:
     external = load_external_scores(args.external)
     pg_map = load_patient_graphs(args.patient_graphs)
     out_path = Path(args.out)
-    rankings, truths = [], []
-    cohort = load_cohort(args.cohort) if args.cohort else None
-    truth_of = {r.patient_id: r.causal_gene for r in cohort} if cohort else {}
+    # the cohort's patients are scored, as evaluate scores them
+    truths = {r.patient_id: r.causal_gene for r in load_cohort(args.cohort)} \
+        if args.cohort else {}
+    missing = [pid for pid in truths if pid not in pg_map]
+    if missing:
+        raise ConfigError(f"patient {missing[0]} missing from patient graphs")
+    fused_of = {}
     with _replacing(out_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for pid in sorted(pg_map):
             if pid not in external:
@@ -414,11 +425,11 @@ def cmd_fuse(args) -> int:
                                  "ranking": [g for g, _ in fused],
                                  "scores": {g: s for g, s in sorted(fused)}},
                                 sort_keys=True) + "\n")
-            if cohort:
-                rankings.append(rank_genes(dict(fused)))
-                truths.append(truth_of.get(pid))
-    if cohort:
-        report = evaluate_rankings(rankings, truths, ks=args.ks)
+            if pid in truths:
+                fused_of[pid] = dict(fused)
+    if args.cohort:
+        report = evaluate_rankings([rank_genes(fused_of[pid]) for pid in truths],
+                                   list(truths.values()), ks=args.ks)
         print(report.to_table())
     inputs = {"external": args.external, "patient_graphs": args.patient_graphs}
     write_manifest(out_path.parent, "fuse", {"delta": args.delta}, inputs,

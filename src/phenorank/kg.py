@@ -10,7 +10,9 @@ and ascending by destination.
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,8 @@ class NodeType(enum.Enum):
     OTHER = "other"
 
 
-_TYPE_TOKENS = {t.value: t for t in NodeType}
+# file token -> int8 code, the index into NodeType order
+_TYPE_CODES = {t.value: i for i, t in enumerate(NodeType)}
 
 # DOT styling per node type
 _DOT_STYLE = {
@@ -75,14 +78,13 @@ class KnowledgeGraph:
         return [(int(a), int(self.arc_dst[a])) for a in range(lo, hi)]
 
 
-def text_lines(path, error=ValueError):
-    """Yield (line number, line) for each line of UTF-8 text file `path`.
-
-    A byte sequence that is not UTF-8 raises `error` naming `path:line`.
-    """
+@contextmanager
+def _utf8(path, error):
+    """Open UTF-8 text file `path` with universal newlines; a byte sequence
+    that is not UTF-8 raises `error` naming `path:line`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            yield from enumerate(fh, start=1)
+            yield fh
     except UnicodeDecodeError:
         # the stream decodes in blocks; decode the whole file to find the line
         data = Path(path).read_bytes()
@@ -95,11 +97,65 @@ def text_lines(path, error=ValueError):
         raise
 
 
-def _parse_type(token: str, lineno: int, path) -> NodeType:
-    t = _TYPE_TOKENS.get(token)
-    if t is None:
-        raise GraphFormatError(f"{path}:{lineno}: unknown node type {token!r}")
-    return t
+def text_lines(path, error=ValueError):
+    """Yield (line number, line) for each line of UTF-8 text file `path`.
+
+    A byte sequence that is not UTF-8 raises `error` naming `path:line`.
+    """
+    with _utf8(path, error) as fh:
+        yield from enumerate(fh, start=1)
+
+
+class _Rows:
+    """The rows of a three-column TSV file, read in one pass: every line
+    that is neither blank nor a `#` comment, split at its tabs.
+
+    `columns` holds the three fields of each row before the first row
+    without exactly three fields, or before the first byte that is not
+    UTF-8; the rows the stream decoded before that byte are checked first,
+    as a line-by-line reader would.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        lines, self._undecodable = [], None
+        try:
+            with _utf8(path, GraphFormatError) as fh:
+                lines.extend(fh)        # keeps the lines read before an error
+        except GraphFormatError as exc:
+            self._undecodable = exc
+        self._text = "".join(lines)
+        del lines               # each intermediate goes once used: the peak is small
+        rows = [line for line in self._text.split("\n") if line and line[0] != "#"]
+        tabs = np.fromiter(map(str.count, rows, repeat("\t")), np.int64, len(rows))
+        self._short = _first(tabs != 2, lambda j: "expected 3 tab-separated "
+                                                  f"fields, got {tabs[j] + 1}")
+        end = self._short[0] if self._short else len(rows)
+        text = "\t".join(rows[:end])
+        del rows
+        fields = text.split("\t") if end else []
+        del text
+        self.columns = fields[0::3], fields[1::3], fields[2::3]
+
+    def raise_first(self, *errors):
+        """Raise GraphFormatError naming `path:line` for the earliest of
+        `errors` and the first short row, each a (row, message) pair or
+        None (of two on one row, the first listed), else for a byte that
+        is not UTF-8."""
+        errors = [e for e in (*errors, self._short) if e is not None]
+        if errors:
+            row, message = min(errors, key=lambda e: e[0])
+            lineno = [i for i, line in enumerate(self._text.split("\n"), start=1)
+                      if line and line[0] != "#"][row]
+            raise GraphFormatError(f"{self.path}:{lineno}: {message}")
+        if self._undecodable is not None:
+            raise self._undecodable
+
+
+def _first(mask: np.ndarray, message):
+    """(index of the first True in `mask`, message(index)), or None."""
+    hits = np.flatnonzero(mask)
+    return (int(hits[0]), message(int(hits[0]))) if hits.size else None
 
 
 def load_graph(node_file, edge_file) -> KnowledgeGraph:
@@ -109,65 +165,49 @@ def load_graph(node_file, edge_file) -> KnowledgeGraph:
     order. Edge rows: `src_id<TAB>relation<TAB>dst_id` with undirected
     semantics; `#` lines are comments. Self-edges and rows referencing
     undeclared nodes are rejected with their line number; duplicate
-    undirected edges collapse to one.
+    undirected edges collapse to one, keeping the first one's relation.
+    The first bad line of a file is reported: each file is checked whole
+    with array operations, not line by line.
     """
-    node_file, edge_file = Path(node_file), Path(edge_file)
-    node_keys, node_names, types = [], [], []
-    key_to_id: dict = {}
-    for lineno, line in text_lines(node_file, GraphFormatError):
-        line = line.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise GraphFormatError(
-                f"{node_file}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-        key, type_tok, name = parts
-        if key in key_to_id:
-            raise GraphFormatError(f"{node_file}:{lineno}: duplicate node id {key!r}")
-        key_to_id[key] = len(node_keys)
-        node_keys.append(key)
-        node_names.append(name)
-        types.append(KnowledgeGraph._TYPE_ORDER.index(_parse_type(type_tok, lineno, node_file)))
-
+    nodes = _Rows(Path(node_file))
+    node_keys, type_tokens, node_names = nodes.columns
     n = len(node_keys)
-    edge_map: dict = {}  # {min, max} -> relation, first occurrence wins
-    for lineno, line in text_lines(edge_file, GraphFormatError):
-        line = line.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise GraphFormatError(
-                f"{edge_file}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-        src_key, relation, dst_key = parts
-        for k in (src_key, dst_key):
-            if k not in key_to_id:
-                raise GraphFormatError(
-                    f"{edge_file}:{lineno}: edge references undeclared node {k!r}")
-        u, v = key_to_id[src_key], key_to_id[dst_key]
-        if u == v:
-            raise GraphFormatError(f"{edge_file}:{lineno}: self-edge on node {src_key!r}")
-        edge_map.setdefault((min(u, v), max(u, v)), relation)
+    key_to_id = dict(zip(node_keys, range(n)))
+    duplicate = None
+    if len(key_to_id) < n:
+        first_row = dict(zip(reversed(node_keys), range(n - 1, -1, -1)))
+        row = next(j for j, k in enumerate(node_keys) if first_row[k] != j)
+        duplicate = (row, f"duplicate node id {node_keys[row]!r}")
+    types = np.fromiter(map(_TYPE_CODES.get, type_tokens, repeat(-1)), np.int8, n)
+    nodes.raise_first(duplicate, _first(
+        types < 0, lambda j: f"unknown node type {type_tokens[j]!r}"))
 
-    src, dst, rel = [], [], []
-    for (u, v), relation in edge_map.items():
-        src += [u, v]
-        dst += [v, u]
-        rel += [relation, relation]
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    edges = _Rows(Path(edge_file))
+    src_keys, relations, dst_keys = edges.columns
+    m = len(src_keys)
+    u = np.fromiter(map(key_to_id.get, src_keys, repeat(-1)), np.int64, m)
+    v = np.fromiter(map(key_to_id.get, dst_keys, repeat(-1)), np.int64, m)
+    edges.raise_first(
+        _first(u < 0, lambda j: f"edge references undeclared node {src_keys[j]!r}"),
+        _first(v < 0, lambda j: f"edge references undeclared node {dst_keys[j]!r}"),
+        _first(u == v, lambda j: f"self-edge on node {src_keys[j]!r}"))
+
+    # one arc pair per undirected edge, with the first listing's relation
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    _, first = np.unique(lo * n + hi, return_index=True)
+    lo, hi = lo[first], hi[first]
+    rel = np.array(relations, dtype=object)[first]
+    src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
-    rel = [rel[i] for i in order]
     return KnowledgeGraph(
         node_count=n,
-        node_types=np.asarray(types, dtype=np.int8),
+        node_types=types,
         node_names=node_names,
         node_keys=node_keys,
         arc_src=src,
         arc_dst=dst,
-        arc_relation=rel,
+        arc_relation=np.concatenate([rel, rel])[order].tolist(),
         adj_offsets=np.searchsorted(src, np.arange(n + 1)),
         key_to_id=key_to_id,
     )

@@ -214,6 +214,10 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
                           for _ in range(2))
         ck = Checkpoint(mcfg, params, adam_m, adam_v, adam_step_count=0, epoch=0,
                         seed=tcfg.seed, sample_hops=tcfg.sample_hops)
+    else:
+        # loaded arrays are read-only; adam_step updates these in place
+        ck.params, ck.adam_m, ck.adam_v = ({k: a.copy() for k, a in group.items()}
+                                           for group in (ck.params, ck.adam_m, ck.adam_v))
     # the tape's leaves wrap the very arrays that adam_step updates in place
     leaves = {k: ad.Tensor(a) for k, a in ck.params.items()}
     reports: list[LossReport] = []
@@ -280,10 +284,12 @@ def _pack_tensors(tensors: dict) -> bytes:
 
 
 def _unpack_tensors(blob: bytes) -> dict:
+    """The tensors of a checkpoint file's bytes, as read-only views into
+    `blob`: nothing is copied."""
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
-    body, crc_stored = blob[:-4], struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(body) != crc_stored:
+    body = memoryview(blob)[:-4]
+    if zlib.crc32(body) != struct.unpack_from("<I", blob, len(body))[0]:
         raise CheckpointError("checksum failure")
     off = 4
     (version,) = struct.unpack_from("<I", body, off); off += 4
@@ -295,13 +301,13 @@ def _unpack_tensors(blob: bytes) -> dict:
         (count,) = struct.unpack_from("<Q", body, off); off += 8
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", body, off); off += 4
-            name = body[off:off + name_len].decode("utf-8"); off += name_len
+            name = str(body[off:off + name_len], "utf-8"); off += name_len
             (rank,) = struct.unpack_from("<I", body, off); off += 4
             dims = struct.unpack_from(f"<{rank}Q", body, off); off += 8 * rank
             n = math.prod(dims)
             arr = np.frombuffer(body, dtype="<f8", count=n, offset=off).reshape(dims)
             off += 8 * n
-            tensors[name] = arr.copy()
+            tensors[name] = arr
     except (struct.error, ValueError) as exc:
         raise CheckpointError(f"truncated checkpoint: {exc}") from None
     if off != len(body):
@@ -345,7 +351,11 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a malformed file raises CheckpointError naming `path`."""
+    """Read a checkpoint; a malformed file raises CheckpointError naming `path`.
+
+    The file is read once, and every returned array is a read-only view
+    into that one buffer; `train` copies the groups it advances.
+    """
     try:
         return _checkpoint_from_tensors(_unpack_tensors(Path(path).read_bytes()))
     except (TypeError, ValueError, OverflowError) as exc:

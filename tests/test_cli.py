@@ -147,7 +147,8 @@ def _with_version(blob: bytes, version: int) -> bytes:
 
 
 def _edited(blob: bytes, edit) -> bytes:
-    tensors = _unpack_tensors(blob)
+    # the loader's arrays are read-only views; the edits write to copies
+    tensors = {k: a.copy() for k, a in _unpack_tensors(blob).items()}
     edit(tensors)
     return _pack_tensors(tensors)
 
@@ -598,6 +599,71 @@ def test_fuse_missing_patient_is_fatal(tmp_path, capsys):
     assert main(["fuse", "--external", str(ext), "--patient-graphs", str(pgs),
                  "--delta", "0.1", "--out", str(tmp_path / "f.jsonl")]) == 1
     assert "missing from external score file" in capsys.readouterr().err
+
+
+def test_fuse_scores_the_cohort_as_evaluate_does(tmp_path, capsys):
+    # four patient graphs, a cohort of two: fuse's table is evaluate's on
+    # the fused file, and every patient's line is still written
+    ext, pgs = fuse_inputs(tmp_path, ["a", "b", "c", "d"])
+    cohort = tmp_path / "cohort.jsonl"
+    cohort.write_text("".join(json.dumps({"id": pid, "phenotypes": ["P1"],
+                                          "causal_gene": gene}) + "\n"
+                              for pid, gene in (("b", "GB"), ("a", "GC"))),
+                      encoding="utf-8")
+    out = tmp_path / "fused.jsonl"
+    capsys.readouterr()
+    assert main(["fuse", "--external", str(ext), "--patient-graphs", str(pgs),
+                 "--delta", "0.1", "--out", str(out), "--cohort", str(cohort)]) == 0
+    fused_table = capsys.readouterr().out
+    assert [json.loads(x)["id"] for x in out.read_text().splitlines()] == \
+        ["a", "b", "c", "d"]
+    assert main(["evaluate", "--predictions", str(out), "--cohort", str(cohort)]) == 0
+    assert fused_table == capsys.readouterr().out
+    assert fused_table.splitlines()[0].split() == ["patients", "2"]
+
+
+def test_fuse_cohort_patient_without_a_graph_is_a_usage_error(tmp_path, capsys):
+    ext, pgs = fuse_inputs(tmp_path, ["a"])
+    cohort = tmp_path / "cohort.jsonl"
+    cohort.write_text('{"id": "a", "phenotypes": ["P1"], "causal_gene": "GB"}\n'
+                      '{"id": "zed", "phenotypes": ["P1"], "causal_gene": "GB"}\n',
+                      encoding="utf-8")
+    out = tmp_path / "fused.jsonl"
+    assert main(["fuse", "--external", str(ext), "--patient-graphs", str(pgs),
+                 "--delta", "0.1", "--out", str(out), "--cohort", str(cohort)]) == 2
+    assert "patient zed missing from patient graphs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pid", ["../escaped", "", ".", "..", "a/b", "a\\b", "a\x00b"])
+def test_extract_dot_keeps_files_inside_out_dir(workspace, tmp_path, capsys, pid):
+    # a patient id that would name a file outside --out-dir stops the run
+    # before any file is written
+    lines = (workspace / "data" / "test.jsonl").read_text().splitlines()
+    cohort = tmp_path / "cohort.jsonl"
+    cohort.write_text("\n".join([lines[0], json.dumps({**json.loads(lines[1]), "id": pid})])
+                      + "\n", encoding="utf-8")
+    out_dir = tmp_path / "run" / "ex"
+    assert main(["extract", *args_for(workspace),
+                 "--checkpoint", str(workspace / "run" / "checkpoint.rnck"),
+                 "--patients", str(cohort), "--out-dir", str(out_dir), "--dot"]) == 1
+    assert repr(pid) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "escaped.dot").exists()
+
+
+def test_extract_dot_files_are_written_whole(workspace, tmp_path, monkeypatch, capsys):
+    # a DOT export that fails part-way leaves neither the file nor a temp file
+    def failing_export(g, nodes, arcs, out):
+        Path(out).write_text("graph patient_subgraph {\n", encoding="utf-8")
+        raise OSError("disk full")
+    monkeypatch.setattr(cli, "export_dot", failing_export)
+    out_dir = tmp_path / "ex"
+    assert main(["extract", *args_for(workspace),
+                 "--checkpoint", str(workspace / "run" / "checkpoint.rnck"),
+                 "--patients", str(workspace / "data" / "test.jsonl"),
+                 "--out-dir", str(out_dir), "--dot"]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_help_and_version_exit_zero(capsys):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phenorank.kg import GraphFormatError, NodeType, export_dot, load_graph, text_lines
+from phenorank.kg import (GraphFormatError, KnowledgeGraph, NodeType, export_dot,
+                          load_graph, text_lines)
 from phenorank.synthetic import SynthConfig, generate_dataset
 
 from conftest import random_graph, write_graph
@@ -152,6 +155,166 @@ def test_synthetic_round_trip(tmp_path):
         expected |= {(g.key_to_id[u], g.key_to_id[v]), (g.key_to_id[v], g.key_to_id[u])}
     arcs = list(zip(g.arc_src.tolist(), g.arc_dst.tolist()))
     assert arcs == sorted(expected)
+
+
+# ------------------------------------------------- the line-by-line oracle
+
+def oracle_load_graph(node_file, edge_file) -> KnowledgeGraph:
+    """The graph loader as one loop over the lines of each file, checking
+    each line in turn: the reference that `load_graph` must match."""
+    node_keys, node_names, types = [], [], []
+    key_to_id: dict = {}
+    for lineno, line in text_lines(node_file, GraphFormatError):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise GraphFormatError(
+                f"{node_file}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        key, type_tok, name = parts
+        if key in key_to_id:
+            raise GraphFormatError(f"{node_file}:{lineno}: duplicate node id {key!r}")
+        if type_tok not in {t.value for t in NodeType}:
+            raise GraphFormatError(f"{node_file}:{lineno}: unknown node type {type_tok!r}")
+        key_to_id[key] = len(node_keys)
+        node_keys.append(key)
+        node_names.append(name)
+        types.append(list(NodeType).index(NodeType(type_tok)))
+
+    n = len(node_keys)
+    edge_map: dict = {}  # {min, max} -> relation, first occurrence wins
+    for lineno, line in text_lines(edge_file, GraphFormatError):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise GraphFormatError(
+                f"{edge_file}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        src_key, relation, dst_key = parts
+        for k in (src_key, dst_key):
+            if k not in key_to_id:
+                raise GraphFormatError(
+                    f"{edge_file}:{lineno}: edge references undeclared node {k!r}")
+        u, v = key_to_id[src_key], key_to_id[dst_key]
+        if u == v:
+            raise GraphFormatError(f"{edge_file}:{lineno}: self-edge on node {src_key!r}")
+        edge_map.setdefault((min(u, v), max(u, v)), relation)
+
+    arcs = sorted((a, b, rel) for (u, v), rel in edge_map.items()
+                  for a, b in ((u, v), (v, u)))
+    src = np.array([a for a, _, _ in arcs], dtype=np.int64)
+    return KnowledgeGraph(
+        node_count=n, node_types=np.array(types, dtype=np.int8),
+        node_names=node_names, node_keys=node_keys, arc_src=src,
+        arc_dst=np.array([b for _, b, _ in arcs], dtype=np.int64),
+        arc_relation=[rel for _, _, rel in arcs],
+        adj_offsets=np.searchsorted(src, np.arange(n + 1)), key_to_id=key_to_id)
+
+
+def _outcome(loader, node_file, edge_file):
+    """The loaded graph's fields, or the error message."""
+    try:
+        g = loader(node_file, edge_file)
+    except GraphFormatError as exc:
+        return "error", str(exc)
+    return ("graph", g.node_count, g.node_keys, g.node_names, g.key_to_id,
+            g.node_types.dtype, g.node_types.tolist(), g.arc_src.dtype,
+            g.arc_src.tolist(), g.arc_dst.tolist(), g.arc_relation,
+            g.adj_offsets.tolist())
+
+
+# Few keys, types and relations, so rows collide often; odd fields use
+# characters that other line splitters (str.splitlines) treat as breaks.
+_KEYS = ["A", "B", "C", "D", "E", "F"]
+_FIELD = st.lists(st.sampled_from(["", "a", "#", " ", "\x0b", "\x0c", "\x1c", "\x85",
+                                   "\u2028", "\u2029", "é"]), max_size=3).map("".join)
+_KEY = st.one_of(st.sampled_from(_KEYS), _FIELD)
+_TYPE = st.sampled_from(["phenotype", "gene", "disease", "other"] * 12
+                        + ["protein", "Gene", ""])
+_RELATION = st.sampled_from(["r", "s", ""])
+_ODD_LINE = st.one_of(st.just(""), _FIELD.map(lambda t: "#" + t),
+                      st.lists(_FIELD, min_size=1, max_size=5).map("\t".join))
+
+
+@st.composite
+def _file(draw, rows):
+    """File bytes: the tab-joined `rows` with a few blank, comment or
+    wrong-width lines spliced in, mixed line endings, and now and then a
+    byte that is not UTF-8."""
+    lines = ["\t".join(r) for r in draw(rows)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_LINE))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    data = "".join(line + end for line, end in zip(lines, ends))
+    if data and draw(st.booleans()):
+        data = data.rstrip("\r\n")
+    data = data.encode("utf-8")
+    bad = draw(st.sampled_from([b""] * 24 + [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]))
+    if bad:
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + bad + data[i:]
+    return data
+
+
+@st.composite
+def _node_rows(draw):
+    """Every key of _KEYS, now and then with an odd or repeated one instead."""
+    keys = draw(st.permutations(_KEYS))
+    return [(k if draw(st.sampled_from([True] * 11 + [False])) else draw(_KEY),
+             draw(_TYPE), draw(_FIELD)) for k in keys]
+
+
+_PAIR = st.permutations(_KEYS).map(lambda p: tuple(p[:2]))
+_EDGE_ROWS = st.lists(st.tuples(st.one_of(_PAIR, _PAIR, _PAIR, st.tuples(_KEY, _KEY)),
+                                _RELATION).map(lambda t: (t[0][0], t[1], t[0][1])),
+                      min_size=1, max_size=10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_file(_node_rows()), _file(_EDGE_ROWS))
+def test_load_graph_matches_the_line_by_line_oracle(tmp_path_factory, node_bytes, edge_bytes):
+    d = tmp_path_factory.mktemp("oracle")
+    node_file, edge_file = d / "nodes.tsv", d / "edges.tsv"
+    node_file.write_bytes(node_bytes)
+    edge_file.write_bytes(edge_bytes)
+    assert _outcome(load_graph, node_file, edge_file) == \
+        _outcome(oracle_load_graph, node_file, edge_file)
+
+
+def test_load_graph_reports_the_first_bad_line_of_a_large_file(tmp_path):
+    # the checks run over whole columns; the error is still the earliest line's
+    nodes = [(f"n{i}", "other", f"node {i}") for i in range(3000)]
+    edges = [(f"n{i}", "r", f"n{i + 1}") for i in range(2999)]
+    node_file, edge_file = write_graph(tmp_path, nodes, edges)
+    text = edge_file.read_text(encoding="utf-8").splitlines()
+    text[2500] = "n5\tr\tn5"                    # a self-edge
+    text[2700] = "n5\tr"                         # a short row, later
+    text[1200] = "n5\tr\tzz"                    # an undeclared node, first
+    edge_file.write_text("# header\n" + "\n".join(text) + "\n", encoding="utf-8")
+    with pytest.raises(GraphFormatError, match=f"^{edge_file}:1202: .*undeclared node 'zz'$"):
+        load_graph(node_file, edge_file)
+    for g in (load_graph, oracle_load_graph):
+        assert _outcome(g, node_file, edge_file) == \
+            _outcome(oracle_load_graph, node_file, edge_file)
+
+
+@pytest.mark.parametrize("bad_row, line", [(300, 301), (4320, 3)])
+def test_undecodable_byte_after_a_short_row_is_met_as_the_oracle_meets_it(
+        tmp_path, bad_row, line):
+    # the text stream decodes 8 KiB at a time: a short row in an earlier
+    # block is reported, one in the block of the bad byte is not
+    rows = [f"N{i}\tother\tnode {i}\n".encode() for i in range(5000)]
+    rows[2] = b"N2\tother\n"
+    rows[bad_row] = f"N{bad_row}\tother\tn".encode() + b"\xc3\n"
+    node_file, edge_file = tmp_path / "n.tsv", tmp_path / "e.tsv"
+    node_file.write_bytes(b"".join(rows))
+    edge_file.write_text("", encoding="utf-8")
+    outcome = _outcome(load_graph, node_file, edge_file)
+    assert outcome == _outcome(oracle_load_graph, node_file, edge_file)
+    assert outcome[1].startswith(f"{node_file}:{line}: ")
 
 
 # ------------------------------------------------------------------ DOT export

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from phenorank import training
 from phenorank.kg import load_graph
 from phenorank.losses import LossConfig
-from phenorank.model import ModelConfig, param_shapes
+from phenorank.model import ModelConfig, init_params, param_shapes
 from phenorank.sampling import (PatientRecord, label_supervision_edges,
                                 shortest_path_arcs)
 from phenorank.training import (Checkpoint, CheckpointError, TrainConfig,
@@ -299,6 +301,31 @@ def test_checkpoint_loads_every_group_in_param_shapes_order(tiny_setup, tmp_path
     assert order != sorted(order) and back.best_params is not None
     for group in (back.params, back.adam_m, back.adam_v, back.best_params):
         assert list(group) == order
+
+
+def test_checkpoint_loads_read_only_views_of_one_read(tmp_path):
+    # every group, Adam moments included, is checked, but nothing is copied:
+    # the loader allocates the file's bytes once and views into them
+    mcfg = ModelConfig(embed_dim=32, hidden_dim=8, out_dim=6, heads=2, layers=2,
+                       attn_proj_dim=4)
+    params = init_params(mcfg, 2000, np.random.default_rng(0))
+    ck = Checkpoint(mcfg, params, *({k: a + 1.0 for k, a in params.items()}
+                                    for _ in range(2)),
+                    adam_step_count=3, epoch=1, seed=0, sample_hops=2,
+                    best_params={k: a.copy() for k, a in params.items()})
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(ck, path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * size, (peak, size)
+    for group in (back.params, back.adam_m, back.adam_v, back.best_params):
+        assert not any(a.flags.writeable for a in group.values())
+    assert all(np.array_equal(a, back.params[k]) for k, a in params.items())
 
 
 def test_checkpoint_single_byte_corruption_detected(tiny_setup, tmp_path):
