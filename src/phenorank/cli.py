@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -61,13 +62,21 @@ def _environment() -> dict:
 
 
 def write_manifest(out_dir, command: str, config: dict, inputs: dict,
-                   outputs: dict, seed, elapsed: float) -> Path:
+                   outputs: dict, seed, elapsed: float, hashed=None) -> Path:
+    """Write `{command}_manifest.json` into `out_dir`. `hashed` maps keys of
+    `inputs` or `outputs` to the SHA-256 of a file the command has already
+    hashed; that file is not read again."""
+    hashed = hashed or {}
+
+    def hashes(files):
+        return {str(k): hashed.get(k) or _sha256(v) for k, v in sorted(files.items())}
+
     manifest = {
         "command": command,
         "config": config,
         "environment": _environment(),
-        "input_hashes": {str(k): _sha256(v) for k, v in sorted(inputs.items())},
-        "output_hashes": {str(k): _sha256(v) for k, v in sorted(outputs.items())},
+        "input_hashes": hashes(inputs),
+        "output_hashes": hashes(outputs),
         "seed": seed,
         "version": __version__,
         "wall_clock_s": round(elapsed, 3),
@@ -206,7 +215,7 @@ def cmd_train(args) -> int:
                           progress=print)
     ckpt_path = out_dir / "checkpoint.rnck"
     with _replacing(ckpt_path) as tmp:
-        save_checkpoint(ckpt, tmp)
+        ckpt_sha256 = save_checkpoint(ckpt, tmp)
     trace_path = out_dir / "loss_trace.csv"
     with _replacing(trace_path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -219,7 +228,8 @@ def cmd_train(args) -> int:
     config = {"model": asdict(mcfg), "loss": asdict(lcfg), "train": asdict(tcfg)}
     write_manifest(out_dir, "train", config, inputs,
                    {"checkpoint.rnck": ckpt_path, "loss_trace.csv": trace_path},
-                   tcfg.seed, time.monotonic() - t0)
+                   tcfg.seed, time.monotonic() - t0,
+                   hashed={"checkpoint.rnck": ckpt_sha256})
     print(f"checkpoint written to {ckpt_path}")
     return 0
 
@@ -300,7 +310,8 @@ def cmd_predict(args) -> int:
     inputs = {"nodes": args.nodes, "edges": args.edges,
               "patients": args.patients, "checkpoint": args.checkpoint}
     write_manifest(out_path.parent, "predict", {"hops": hops}, inputs,
-                   {out_path.name: out_path}, ckpt.seed, time.monotonic() - t0)
+                   {out_path.name: out_path}, ckpt.seed, time.monotonic() - t0,
+                   hashed={"checkpoint": ckpt.file_sha256})
     return _failure_exit(failed, len(cohort))
 
 
@@ -351,7 +362,7 @@ def cmd_extract(args) -> int:
               "patients": args.patients, "checkpoint": args.checkpoint}
     write_manifest(out_dir, "extract", asdict(ecfg), inputs,
                    {"patient_graphs.jsonl": pg_path}, ckpt.seed,
-                   time.monotonic() - t0)
+                   time.monotonic() - t0, hashed={"checkpoint": ckpt.file_sha256})
     return _failure_exit(failed, len(cohort))
 
 
@@ -544,10 +555,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on the first `main` call of the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

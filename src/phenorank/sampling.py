@@ -226,10 +226,17 @@ def load_cohort(path, key_to_id: dict | None = None) -> list[PatientRecord]:
 
     When `key_to_id` is given, phenotype/gene entries are string node keys
     and get translated to dense IDs; otherwise they pass through unchanged.
-    A malformed line raises ValueError naming `path:line`.
+    A malformed line, or one that repeats a patient ID, raises ValueError
+    naming `path:line`. IDs compare as text, the form that names a DOT file.
     """
     records = []
+    first_at = {}                        # patient ID as text -> its `path:line`
     for where, obj in read_jsonl(path, {"id": "id", "phenotypes": "ids"}):
+        pid = str(obj["id"])
+        if pid in first_at:
+            raise ValueError(f"{where}: repeated patient id {pid!r} "
+                             f"(first at {first_at[pid]})")
+        first_at[pid] = where
         def to_id(x):
             if key_to_id is not None:
                 if x not in key_to_id:

@@ -10,9 +10,9 @@ uninterrupted run.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
-import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -32,7 +32,8 @@ __all__ = ["TrainConfig", "Checkpoint", "TrainingError", "CheckpointError",
            "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_MAGIC = b"RNCK"
-CHECKPOINT_VERSION = 2   # v2: one W and one a per layer, sample_hops stored
+CHECKPOINT_VERSION = 3   # v3: SHA-256 trailer; v2: one W and one a per layer
+DIGEST_SIZE = 32         # bytes of the SHA-256 trailer
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -83,6 +84,7 @@ class Checkpoint:
     sample_hops: int                # hop count the model was trained with
     best_params: dict | None = None
     best_val_mrr: float = -1.0
+    file_sha256: str | None = None  # of the file load_checkpoint read this from
 
     def ranking_params(self) -> dict:
         """Best-validation parameters when tracked, else the final ones."""
@@ -265,37 +267,50 @@ def train(g: KnowledgeGraph, cohort, mcfg: ModelConfig, lcfg: LossConfig,
 
 # ---------------------------------------------------------- checkpoint file
 
-def _pack_tensors(tensors: dict) -> bytes:
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack("<I", CHECKPOINT_VERSION)
-    out += struct.pack("<Q", len(tensors))
+def _write_tensors(tensors: dict, fh) -> str:
+    """Write `tensors` as a checkpoint file to the binary stream `fh`: the
+    tensor table, then the SHA-256 of the table as the trailer. Each
+    array's buffer goes to the hash and the stream as it is, uncopied.
+    Returns the SHA-256 of all bytes written (hex)."""
+    h = hashlib.sha256()
+
+    def put(data):
+        h.update(data)
+        fh.write(data)
+
+    put(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(tensors)))
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name], dtype="<f8")
         nb = name.encode("utf-8")
-        out += struct.pack("<I", len(nb))
-        out += nb
-        out += struct.pack("<I", arr.ndim)
-        for dim in arr.shape:
-            out += struct.pack("<Q", dim)
-        out += arr.tobytes()
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
-    return bytes(out)
+        put(struct.pack(f"<I{len(nb)}sI{arr.ndim}Q", len(nb), nb, arr.ndim, *arr.shape))
+        put(memoryview(arr).cast("B"))
+    trailer = h.digest()
+    fh.write(trailer)
+    h.update(trailer)
+    return h.hexdigest()
 
 
-def _unpack_tensors(blob: bytes) -> dict:
+def _unpack_tensors(blob: bytes) -> tuple[dict, str]:
     """The tensors of a checkpoint file's bytes, as read-only views into
-    `blob`: nothing is copied."""
-    if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
+    `blob` (nothing is copied), and the SHA-256 of the whole file (hex).
+
+    The version is read before the trailer is checked, so a file of
+    another version is named as such. One SHA-256 pass over the table
+    checks the trailer and, continued over the trailer, hashes the file.
+    """
+    if len(blob) < 8 or blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
-    body = memoryview(blob)[:-4]
-    if zlib.crc32(body) != struct.unpack_from("<I", blob, len(body))[0]:
-        raise CheckpointError("checksum failure")
-    off = 4
-    (version,) = struct.unpack_from("<I", body, off); off += 4
+    (version,) = struct.unpack_from("<I", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version} "
                               f"(this build reads version {CHECKPOINT_VERSION})")
+    body = memoryview(blob)[:-DIGEST_SIZE]
+    trailer = blob[len(body):]
+    h = hashlib.sha256(body)
+    if h.digest() != trailer:
+        raise CheckpointError("checksum failure")
+    h.update(trailer)
+    off = 8
     tensors = {}
     try:
         (count,) = struct.unpack_from("<Q", body, off); off += 8
@@ -312,7 +327,7 @@ def _unpack_tensors(blob: bytes) -> dict:
         raise CheckpointError(f"truncated checkpoint: {exc}") from None
     if off != len(body):
         raise CheckpointError("trailing bytes after tensor table")
-    return tensors
+    return tensors, h.hexdigest()
 
 
 # Each stored scalar: the Checkpoint field it holds, that field's type and
@@ -338,7 +353,8 @@ _GROUPS = {"param/": "params", "adam/m/": "adam_m", "adam/v/": "adam_v",
            "best/": "best_params"}
 
 
-def save_checkpoint(ckpt: Checkpoint, path):
+def save_checkpoint(ckpt: Checkpoint, path) -> str:
+    """Write `ckpt` to `path`; returns the SHA-256 of the file (hex)."""
     tensors = {}
     for k, v in asdict(ckpt.model_config).items():
         tensors[f"config/{k}"] = np.float64(v)
@@ -347,23 +363,27 @@ def save_checkpoint(ckpt: Checkpoint, path):
             tensors[prefix + k] = a
     for name, (field, _, _) in _SCALARS.items():
         tensors[name] = np.float64(getattr(ckpt, field))
-    Path(path).write_bytes(_pack_tensors(tensors))
+    with open(path, "wb") as fh:
+        return _write_tensors(tensors, fh)
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a malformed file raises CheckpointError naming `path`.
 
     The file is read once, and every returned array is a read-only view
-    into that one buffer; `train` copies the groups it advances.
+    into that one buffer; `train` copies the groups it advances. The
+    file's SHA-256, from the pass that checks its trailer, is kept as
+    `file_sha256`.
     """
     try:
-        return _checkpoint_from_tensors(_unpack_tensors(Path(path).read_bytes()))
+        tensors, file_sha256 = _unpack_tensors(Path(path).read_bytes())
+        return _checkpoint_from_tensors(tensors, file_sha256)
     except (TypeError, ValueError, OverflowError) as exc:
         # CheckpointError, or a stored value that ModelConfig or a rule rejects
         raise CheckpointError(f"{path}: {exc}") from None
 
 
-def _checkpoint_from_tensors(tensors: dict) -> Checkpoint:
+def _checkpoint_from_tensors(tensors: dict, file_sha256: str) -> Checkpoint:
     cfg_kwargs = {}
     groups = {prefix: {} for prefix in _GROUPS}
     for name, arr in tensors.items():
@@ -406,5 +426,5 @@ def _checkpoint_from_tensors(tensors: dict) -> Checkpoint:
         # init_params order, not the file's name order: gradients follow it,
         # and clip_gradients sums their squared norms in that order
         groups[prefix] = {k: group[k] for k in expected}
-    return Checkpoint(model_config=mcfg, **scalars,
+    return Checkpoint(model_config=mcfg, **scalars, file_sha256=file_sha256,
                       **{field: groups[prefix] or None for prefix, field in _GROUPS.items()})

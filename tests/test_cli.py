@@ -1,6 +1,10 @@
+import builtins
+import hashlib
+import io
 import json
 import csv
 import math
+import os
 import struct
 import warnings
 import zlib
@@ -13,8 +17,8 @@ from hypothesis import strategies as st
 from phenorank import cli
 from phenorank.cli import build_parser, main
 from phenorank.kg import load_graph
-from phenorank.training import (_SCALARS, CheckpointError, _pack_tensors,
-                                _unpack_tensors, load_checkpoint)
+from phenorank.training import (_SCALARS, DIGEST_SIZE, CheckpointError,
+                                _unpack_tensors, _write_tensors, load_checkpoint)
 
 SMALL_TRAIN_CONFIG = {
     "embed_dim": 8, "hidden_dim": 8, "out_dim": 6, "heads": 2, "layers": 2,
@@ -140,17 +144,54 @@ def test_ingest_rejects_cohort_line_without_id(workspace, tmp_path, capsys):
     assert f"{cohort}:1:" in capsys.readouterr().err
 
 
+def _sealed(body: bytes) -> bytes:
+    """A checkpoint file of `body`, its bytes up to the trailer: `body`
+    followed by its SHA-256."""
+    return body + hashlib.sha256(body).digest()
+
+
+@pytest.mark.parametrize("command", ["predict", "extract", "evaluate"])
+def test_repeated_patient_id_names_path_and_line(workspace, tmp_path, capsys, command):
+    lines = (workspace / "data" / "test.jsonl").read_text().splitlines()
+    pid = json.loads(lines[0])["id"]
+    cohort = tmp_path / "cohort.jsonl"
+    # a patient may not come twice, even with other phenotypes or causal gene
+    cohort.write_text("\n".join([lines[0], lines[1], lines[1].replace(
+        json.loads(lines[1])["id"], pid)]) + "\n", encoding="utf-8")
+    serve = [*args_for(workspace), "--checkpoint",
+             str(workspace / "run" / "checkpoint.rnck"), "--patients", str(cohort)]
+    argv = {"predict": ["predict", *serve, "--out", str(tmp_path / "out" / "pred.jsonl")],
+            "extract": ["extract", *serve, "--dot", "--out-dir", str(tmp_path / "out")],
+            "evaluate": ["evaluate", "--cohort", str(cohort), "--predictions",
+                         str(cohort), "--out", str(tmp_path / "out" / "report.json")],
+            }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{cohort}:3: repeated patient id {pid!r} (first at {cohort}:1)" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _with_version(blob: bytes, version: int) -> bytes:
-    body = bytearray(blob[:-4])
+    body = bytearray(blob[:-DIGEST_SIZE])
     body[4:8] = struct.pack("<I", version)
-    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+    return _sealed(bytes(body))
+
+
+def _as_v2(blob: bytes) -> bytes:
+    """The file in the version 2 layout: a CRC-32 trailer."""
+    body = bytearray(blob[:-DIGEST_SIZE])
+    body[4:8] = struct.pack("<I", 2)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 
 def _edited(blob: bytes, edit) -> bytes:
     # the loader's arrays are read-only views; the edits write to copies
-    tensors = {k: a.copy() for k, a in _unpack_tensors(blob).items()}
+    tensors = {k: a.copy() for k, a in _unpack_tensors(blob)[0].items()}
     edit(tensors)
-    return _pack_tensors(tensors)
+    out = io.BytesIO()
+    _write_tensors(tensors, out)
+    return out.getvalue()
 
 
 def _set(name, value):
@@ -172,6 +213,7 @@ BAD_CHECKPOINTS = {
     "fractional_config_value": (_set("config/heads", 2.5),
                                 "heads must be an integer, got 2.5"),
     "version_1": (lambda b: _with_version(b, 1), "version 1"),
+    "version_2": (_as_v2, "unsupported checkpoint version 2 (this build reads version 3)"),
     "unknown_config_key": (_set("config/bogus", 1.0), "unknown config key 'bogus'"),
     "bad_config_value": (_set("config/heads", 3.0), "divisible"),
     "bad_magic": (lambda b: b"JUNK" + b[4:], "magic"),
@@ -292,19 +334,74 @@ def _mutated(body: bytes, mutation) -> bytes:
     return bytes(out)
 
 
+def test_resealed_checkpoint_reaches_the_parser(workspace, tmp_path):
+    # the fuzz below re-seals every mutated body: an unmutated body
+    # re-sealed is the file itself, so each mutation meets the parser's
+    # checks, not the checksum
+    blob = (workspace / "run" / "checkpoint.rnck").read_bytes()
+    body = blob[:-DIGEST_SIZE]
+    assert _sealed(body) == blob
+    path = tmp_path / "resealed.rnck"
+    path.write_bytes(_sealed(body))
+    assert load_checkpoint(path).epoch == 2
+    path.write_bytes(_sealed(_mutated(body, ("scalar", 0, 2.5))))
+    with pytest.raises(CheckpointError, match="must be an integer, got 2.5"):
+        load_checkpoint(path)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(_MUTATIONS)
-def test_crc_valid_mutations_raise_only_checkpoint_error(workspace, mutation):
-    body = (workspace / "run" / "checkpoint.rnck").read_bytes()[:-4]
-    body = _mutated(body, mutation)
+def test_digest_valid_mutations_raise_only_checkpoint_error(workspace, mutation):
+    body = (workspace / "run" / "checkpoint.rnck").read_bytes()[:-DIGEST_SIZE]
     path = workspace / "mutated.rnck"
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    path.write_bytes(_sealed(_mutated(body, mutation)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             load_checkpoint(path)
         except CheckpointError as exc:
             assert str(exc).startswith(f"{path}: ")
+
+
+def _count_opens(monkeypatch, name: str) -> list:
+    """Every file opened from here on whose name contains `name`."""
+    opened, real_open = [], io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and name in Path(file).name:
+            opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    return opened
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "extract"])
+def test_checkpoint_is_opened_once_and_its_hash_is_the_manifests(
+        workspace, tmp_path, monkeypatch, command):
+    # the loader's pass that checks the trailer, or the pass that writes
+    # the file, is the one that hashes it for the manifest
+    ckpt = workspace / "run" / "checkpoint.rnck"
+    serve = [*args_for(workspace), "--checkpoint", str(ckpt),
+             "--patients", str(workspace / "data" / "test.jsonl")]
+    argv, manifest, key = {
+        "train": (["train", *args_for(workspace),
+                   "--cohort", str(workspace / "data" / "train.jsonl"),
+                   "--config", str(workspace / "train.json"), "--epochs", "1",
+                   "--out-dir", str(tmp_path)], "train_manifest.json", "output_hashes"),
+        "predict": (["predict", *serve, "--out", str(tmp_path / "pred.jsonl")],
+                    "predict_manifest.json", "input_hashes"),
+        "extract": (["extract", *serve, "--out-dir", str(tmp_path)],
+                    "extract_manifest.json", "input_hashes"),
+    }[command]
+    if command == "train":
+        ckpt = tmp_path / "checkpoint.rnck"
+    opened = _count_opens(monkeypatch, "checkpoint.rnck")
+    assert main(argv) == 0
+    assert len(opened) == 1, opened
+    hashes = json.loads((tmp_path / manifest).read_text())[key]
+    stored = hashes["checkpoint.rnck" if command == "train" else "checkpoint"]
+    assert stored == hashlib.sha256(ckpt.read_bytes()).hexdigest()
 
 
 def test_checkpoint_on_another_graph_exits_one(workspace, tmp_path, capsys):
@@ -674,6 +771,24 @@ def test_help_and_version_exit_zero(capsys):
 
 def test_unknown_command_exits_two(capsys):
     assert main(["frobnicate"]) == 2
+    capsys.readouterr()
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["--version"]) == 0
+        assert main(["frobnicate"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
     capsys.readouterr()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -303,16 +304,21 @@ def test_checkpoint_loads_every_group_in_param_shapes_order(tiny_setup, tmp_path
         assert list(group) == order
 
 
-def test_checkpoint_loads_read_only_views_of_one_read(tmp_path):
-    # every group, Adam moments included, is checked, but nothing is copied:
-    # the loader allocates the file's bytes once and views into them
+def wide_checkpoint() -> Checkpoint:
+    """A state with every group stored, on a 2000-node table."""
     mcfg = ModelConfig(embed_dim=32, hidden_dim=8, out_dim=6, heads=2, layers=2,
                        attn_proj_dim=4)
     params = init_params(mcfg, 2000, np.random.default_rng(0))
-    ck = Checkpoint(mcfg, params, *({k: a + 1.0 for k, a in params.items()}
-                                    for _ in range(2)),
-                    adam_step_count=3, epoch=1, seed=0, sample_hops=2,
-                    best_params={k: a.copy() for k, a in params.items()})
+    return Checkpoint(mcfg, params, *({k: a + 1.0 for k, a in params.items()}
+                                      for _ in range(2)),
+                      adam_step_count=3, epoch=1, seed=0, sample_hops=2,
+                      best_params={k: a.copy() for k, a in params.items()})
+
+
+def test_checkpoint_loads_read_only_views_of_one_read(tmp_path):
+    # every group, Adam moments included, is checked, but nothing is copied:
+    # the loader allocates the file's bytes once and views into them
+    ck = wide_checkpoint()
     path = tmp_path / "m.ckpt"
     save_checkpoint(ck, path)
     size = path.stat().st_size
@@ -325,7 +331,40 @@ def test_checkpoint_loads_read_only_views_of_one_read(tmp_path):
     assert peak <= 1.2 * size, (peak, size)
     for group in (back.params, back.adam_m, back.adam_v, back.best_params):
         assert not any(a.flags.writeable for a in group.values())
-    assert all(np.array_equal(a, back.params[k]) for k, a in params.items())
+    assert all(np.array_equal(a, back.params[k]) for k, a in ck.params.items())
+
+
+def test_checkpoint_save_copies_no_tensor(tmp_path):
+    # the arrays' own buffers are hashed and written; no packed copy is made
+    ck = wide_checkpoint()
+    path = tmp_path / "m.ckpt"
+    tracemalloc.start()
+    try:
+        digest = save_checkpoint(ck, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak <= 0.05 * size, (peak, size)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert load_checkpoint(path).file_sha256 == digest
+
+
+def test_checkpoint_format_is_pinned(tmp_path):
+    # a change to the file format, or to what is stored, changes this hash
+    mcfg = ModelConfig(embed_dim=2, hidden_dim=2, out_dim=2, heads=1, layers=1,
+                       attn_proj_dim=1)
+    params = {k: np.arange(np.prod(shape)).reshape(shape) / 8
+              for k, shape in param_shapes(mcfg, 3).items()}
+    ck = Checkpoint(mcfg, params, {k: a + 1 for k, a in params.items()},
+                    {k: a + 2 for k, a in params.items()}, adam_step_count=5,
+                    epoch=2, seed=7, sample_hops=3,
+                    best_params={k: a - 1 for k, a in params.items()},
+                    best_val_mrr=0.25)
+    path = tmp_path / "golden.rnck"
+    digest = save_checkpoint(ck, path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "989fc3df7a20ffe3a9ae0c4c181295aaaca37a27b28c93db930f6c365deabe17"
 
 
 def test_checkpoint_single_byte_corruption_detected(tiny_setup, tmp_path):
