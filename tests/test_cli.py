@@ -144,12 +144,6 @@ def test_ingest_rejects_cohort_line_without_id(workspace, tmp_path, capsys):
     assert f"{cohort}:1:" in capsys.readouterr().err
 
 
-def _sealed(body: bytes) -> bytes:
-    """A checkpoint file of `body`, its bytes up to the trailer: `body`
-    followed by its SHA-256."""
-    return body + hashlib.sha256(body).digest()
-
-
 @pytest.mark.parametrize("command", ["predict", "extract", "evaluate"])
 def test_repeated_patient_id_names_path_and_line(workspace, tmp_path, capsys, command):
     lines = (workspace / "data" / "test.jsonl").read_text().splitlines()
@@ -162,6 +156,7 @@ def test_repeated_patient_id_names_path_and_line(workspace, tmp_path, capsys, co
              str(workspace / "run" / "checkpoint.rnck"), "--patients", str(cohort)]
     argv = {"predict": ["predict", *serve, "--out", str(tmp_path / "out" / "pred.jsonl")],
             "extract": ["extract", *serve, "--dot", "--out-dir", str(tmp_path / "out")],
+            # the cohort is read first, so the predictions are never read
             "evaluate": ["evaluate", "--cohort", str(cohort), "--predictions",
                          str(cohort), "--out", str(tmp_path / "out" / "report.json")],
             }[command]
@@ -170,6 +165,12 @@ def test_repeated_patient_id_names_path_and_line(workspace, tmp_path, capsys, co
     err = capsys.readouterr().err
     assert f"{cohort}:3: repeated patient id {pid!r} (first at {cohort}:1)" in err
     assert not (tmp_path / "out").exists()
+
+
+def _sealed(body: bytes) -> bytes:
+    """`body`, a checkpoint file's bytes up to its trailer, followed by
+    the SHA-256 trailer that makes it a valid file."""
+    return body + hashlib.sha256(body).digest()
 
 
 def _with_version(blob: bytes, version: int) -> bytes:
