@@ -160,13 +160,12 @@ def cmd_synth(args) -> int:
         raise ConfigError(str(exc))
     out = Path(args.out)
     try:
-        manifest = generate_dataset(cfg, out)
+        hashes = generate_dataset(cfg, out)
     except ValueError as exc:           # a config whose draws run dry
         raise ConfigError(str(exc))
-    outputs = {name: out / name for name in manifest["files"]}
-    outputs["manifest.json"] = out / "manifest.json"
-    write_manifest(out, "synth", asdict(cfg), {}, outputs, cfg.seed,
-                   time.monotonic() - t0)
+    write_manifest(out, "synth", asdict(cfg), {},
+                   {name: out / name for name in hashes}, cfg.seed,
+                   time.monotonic() - t0, hashed=hashes)
     print(f"wrote dataset to {out}")
     return 0
 
@@ -225,11 +224,14 @@ def cmd_train(args) -> int:
             writer.writerow([start + i, repr(r.loss_sub), repr(r.loss_gene),
                              repr(r.loss_total)])
     inputs = {"nodes": args.nodes, "edges": args.edges, "cohort": args.cohort}
+    hashed = {"checkpoint.rnck": ckpt_sha256}
+    if resume is not None:
+        inputs["resume"] = args.resume
+        hashed["resume"] = resume.file_sha256
     config = {"model": asdict(mcfg), "loss": asdict(lcfg), "train": asdict(tcfg)}
     write_manifest(out_dir, "train", config, inputs,
                    {"checkpoint.rnck": ckpt_path, "loss_trace.csv": trace_path},
-                   tcfg.seed, time.monotonic() - t0,
-                   hashed={"checkpoint.rnck": ckpt_sha256})
+                   tcfg.seed, time.monotonic() - t0, hashed=hashed)
     print(f"checkpoint written to {ckpt_path}")
     return 0
 

@@ -10,6 +10,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import warnings
@@ -21,10 +22,6 @@ import numpy as np
 from .config import check_fields
 
 __all__ = ["SynthConfig", "generate_kg", "generate_cohort", "generate_dataset"]
-
-# Rows of the background draw matrix held in memory at once. Blocks of rows
-# take the same values from the generator as one n x n draw would.
-DRAW_BLOCK_ROWS = 128
 
 
 @dataclass
@@ -59,7 +56,7 @@ def generate_kg(cfg: SynthConfig):
     tuples of string keys and planted maps disease key ->
     {"genes": [...], "phenos": [...]}.
     """
-    rng = np.random.default_rng([cfg.seed, 0x5717])
+    rng = np.random.Generator(np.random.PCG64([cfg.seed, 0x5717]))
     node_rows, edge_rows = [], []
     planted = {}
     for d in range(cfg.n_diseases):
@@ -83,18 +80,17 @@ def generate_kg(cfg: SynthConfig):
     # Erdos-Renyi background edges over all unordered pairs except direct
     # phenotype-gene links and the planted edges themselves: pair (i, j),
     # i < j, is drawn at row i, column j of an n x n uniform matrix, in
-    # row-major order.
+    # row-major order. Only the strict upper triangle is drawn; each row
+    # skips its cells 0..i with PCG64's `advance`, one step per uniform.
     keys = [r[0] for r in node_rows]
     kind = np.array([{"phenotype": 1, "gene": 2}.get(r[1], 0) for r in node_rows])
     n = len(keys)
     planted_pairs = {(min(a, c), max(a, c)) for a, _, c in edge_rows}
     if cfg.background_edge_prob > 0:
-        for r0 in range(0, n, DRAW_BLOCK_ROWS):
-            block = rng.random((min(DRAW_BLOCK_ROWS, n - r0), n))
-            iu, ju = np.nonzero(block < cfg.background_edge_prob)
-            iu += r0
-            keep = (iu < ju) & (kind[iu] * kind[ju] != 2)    # not phenotype-gene
-            for i, j in zip(iu[keep], ju[keep]):
+        for i in range(n - 1):
+            rng.bit_generator.advance(i + 1)
+            ju = np.flatnonzero(rng.random(n - i - 1) < cfg.background_edge_prob) + i + 1
+            for j in ju[kind[i] * kind[ju] != 2]:                 # not phenotype-gene
                 a, c = keys[i], keys[j]
                 if (min(a, c), max(a, c)) not in planted_pairs:
                     edge_rows.append((a, "background", c))
@@ -116,6 +112,7 @@ def generate_cohort(cfg: SynthConfig, planted: dict):
     disease_keys = sorted(planted)
     all_phenos = sorted(p for d in disease_keys for p in planted[d]["phenos"])
     all_genes = sorted(g for d in disease_keys for g in planted[d]["genes"])
+    position = {p: k for k, p in enumerate(all_phenos)}
 
     patients = []
     warned = False
@@ -130,19 +127,25 @@ def generate_cohort(cfg: SynthConfig, planted: dict):
                 f"taking all instead of {cfg.phenotypes_per_patient}")
             warned = True
         chosen = list(rng.choice(phenos, size=n_ph, replace=False))
+        taken = sorted(position[p] for p in chosen)   # positions in all_phenos
         final = []
         extra = []
         for p in chosen:
             if rng.random() < cfg.phenotype_noise_rate:
-                candidates = [q for q in all_phenos
-                              if q not in chosen and q not in final and q not in extra]
-                if not candidates:
+                if len(taken) == len(all_phenos):
                     raise ValueError(
                         f"phenotype_noise_rate {cfg.phenotype_noise_rate}: patient "
                         f"pt{i:05d} holds every phenotype, none is left to draw as "
                         f"noise; n_diseases * phenos_per_disease must be at least "
                         f"2 * min(phenotypes_per_patient, phenos_per_disease)")
-                noise = candidates[int(rng.integers(len(candidates)))]
+                # the k-th phenotype not yet taken, in all_phenos order
+                k = int(rng.integers(len(all_phenos) - len(taken)))
+                for t in taken:
+                    if t > k:
+                        break
+                    k += 1
+                bisect.insort(taken, k)
+                noise = all_phenos[k]
                 if cfg.additive_noise:
                     final.append(p)
                     extra.append(noise)
@@ -172,44 +175,34 @@ def generate_cohort(cfg: SynthConfig, planted: dict):
     return train, test
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write(path: Path, text: str) -> str:
+    """Write `text` as UTF-8 and return the SHA-256 of the bytes written."""
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def generate_dataset(cfg: SynthConfig, out_dir) -> dict:
     """Write nodes.tsv, edges.tsv, train/test JSONL, and a manifest.
 
     The manifest records the config, the seed, and a sha256 per emitted
-    file, and is itself deterministic for a fixed (config, seed).
+    file, and is itself deterministic for a fixed (config, seed). Returns
+    the SHA-256 of every file written, manifest.json included.
     """
     node_rows, edge_rows, planted = generate_kg(cfg)
     train, test = generate_cohort(cfg, planted)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    paths = {
-        "nodes.tsv": out_dir / "nodes.tsv",
-        "edges.tsv": out_dir / "edges.tsv",
-        "train.jsonl": out_dir / "train.jsonl",
-        "test.jsonl": out_dir / "test.jsonl",
+    texts = {
+        "nodes.tsv": "".join("\t".join(row) + "\n" for row in node_rows),
+        "edges.tsv": "# src\trelation\tdst (undirected)\n"
+                     + "".join("\t".join(row) + "\n" for row in edge_rows),
+        "train.jsonl": "".join(json.dumps(p, sort_keys=True) + "\n" for p in train),
+        "test.jsonl": "".join(json.dumps(p, sort_keys=True) + "\n" for p in test),
     }
-    with open(paths["nodes.tsv"], "w", encoding="utf-8") as fh:
-        for row in node_rows:
-            fh.write("\t".join(row) + "\n")
-    with open(paths["edges.tsv"], "w", encoding="utf-8") as fh:
-        fh.write("# src\trelation\tdst (undirected)\n")
-        for row in edge_rows:
-            fh.write("\t".join(row) + "\n")
-    for name, cohort in (("train.jsonl", train), ("test.jsonl", test)):
-        with open(paths[name], "w", encoding="utf-8") as fh:
-            for p in cohort:
-                fh.write(json.dumps(p, sort_keys=True) + "\n")
-
-    manifest = {
-        "config": asdict(cfg),
-        "seed": cfg.seed,
-        "files": {name: _sha256(p) for name, p in sorted(paths.items())},
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return manifest
+    hashes = {name: _write(out_dir / name, text) for name, text in sorted(texts.items())}
+    manifest = {"config": asdict(cfg), "seed": cfg.seed, "files": dict(hashes)}
+    hashes["manifest.json"] = _write(
+        out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    return hashes

@@ -405,6 +405,41 @@ def test_checkpoint_is_opened_once_and_its_hash_is_the_manifests(
     assert stored == hashlib.sha256(ckpt.read_bytes()).hexdigest()
 
 
+def test_resumed_run_records_the_checkpoint_it_resumed_from(workspace, tmp_path, monkeypatch):
+    # the hash comes from the loader's pass, not from a second read
+    resumed = workspace / "run" / "checkpoint.rnck"
+    opened = _count_opens(monkeypatch, "checkpoint.rnck")
+    assert main(["train", *args_for(workspace),
+                 "--cohort", str(workspace / "data" / "train.jsonl"),
+                 "--epochs", "3", "--resume", str(resumed),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert len(opened) == 2, opened             # the resumed file read, the new one written
+    hashes = json.loads((tmp_path / "train_manifest.json").read_text())["input_hashes"]
+    assert sorted(hashes) == ["cohort", "edges", "nodes", "resume"]
+    assert hashes["resume"] == hashlib.sha256(resumed.read_bytes()).hexdigest()
+
+
+def test_synth_hashes_its_outputs_without_reading_them_back(tmp_path, monkeypatch):
+    (tmp_path / "synth.json").write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
+    out = tmp_path / "data"
+    reads, real_open = [], io.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).parent == out and "r" in mode:
+            reads.append(Path(file).name)
+        return real_open(file, mode, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    assert main(["synth", "--config", str(tmp_path / "synth.json"), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert reads == []
+    hashes = json.loads((out / "synth_manifest.json").read_text())["output_hashes"]
+    assert sorted(hashes) == ["edges.tsv", "manifest.json", "nodes.tsv",
+                              "test.jsonl", "train.jsonl"]
+    for name, digest in hashes.items():
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
+
+
 def test_checkpoint_on_another_graph_exits_one(workspace, tmp_path, capsys):
     (tmp_path / "synth.json").write_text(
         json.dumps({**SYNTH_CONFIG, "n_background_nodes": 30}), encoding="utf-8")
